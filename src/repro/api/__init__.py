@@ -75,146 +75,61 @@ from ..serve import library as _serve_library  # registers serve-* scenarios  # 
 from ..serve.policy import (ServePolicy, get_serve_policy, policy_grid,
                             resolve_serve_policy, serve_policy_names)
 
-#: facade entry points that already warned about a deprecated kwarg spelling
-#: (one warning per call site name, not one per call)
-_DEPRECATION_WARNED = set()
 
-
-def _resolve_serve_args(caller: str, platform, hardware, policy,
-                        serve_kwargs):
-    """Shared kwarg normalization for :func:`serve` / :func:`serve_fleet`.
-
-    One path resolves the unified facade arguments for both entry points:
-    ``platform`` is the hardware spelling going forward; ``hardware`` is the
-    pre-platform spelling and keeps working through a warn-once
-    :class:`DeprecationWarning` shim (passing both is a
-    :class:`~repro.core.errors.ConfigError`).  ``policy`` accepts anything
-    :func:`repro.serve.resolve_serve_policy` does — ``None`` (the default
-    policy), a :class:`~repro.serve.ServePolicy`, a preset name or a spec
-    mapping.  Returns ``(platform, serve_config_kwargs)`` with the resolved
-    policy folded into ``serve_kwargs``.
-    """
-    import warnings
-
-    from ..core.errors import ConfigError
-
-    if hardware is not None:
-        if platform is not None:
-            raise ConfigError(f"{caller}: pass either platform= or the "
-                              f"legacy hardware=, not both")
-        if caller not in _DEPRECATION_WARNED:
-            _DEPRECATION_WARNED.add(caller)
-            warnings.warn(
-                f"{caller}(hardware=...) is deprecated; pass platform= "
-                f"(a Platform, a registered platform name, or a raw "
-                f"HardwareConfig — resolve_platform handles all three)",
-                DeprecationWarning, stacklevel=3)
-        platform = hardware
-    serve_kwargs = dict(serve_kwargs)
-    serve_kwargs["policy"] = resolve_serve_policy(policy)
-    return platform, serve_kwargs
-
-
-def serve(model, trace, schedule=None, *, batch_cap: int = 8, num_layers: int = 2,
-          platform=None, hardware=None, policy=None, kv_tile_rows: int = 64,
-          kv_mode: str = "paged", eviction_policy: str = "evict-lru",
-          moe_compute_bw: int = 8192, attention_compute_bw: int = 256,
-          seed: int = 0, report_mode: str = "full",
-          window_cycles: float = 100_000.0, sketch_accuracy: float = 0.01,
-          engine: str = "exact", cost_model=None,
-          calibration_budget: int = 64):
+def serve(model, trace, schedule=None, *, platform=None, **knobs):
     """Run one open-loop serving simulation and return its full report.
 
     ``trace`` is a :class:`repro.serve.ArrivalTrace` (build one with
     :func:`repro.serve.poisson_trace` / :func:`repro.serve.burst_trace` or
     load a recorded JSON trace with :func:`repro.serve.load_trace`);
     ``schedule`` defaults to the paper's dynamic schedule and ``platform`` to
-    the default ``"sda"`` platform (``hardware`` is the deprecated spelling of
-    the same argument).  ``policy`` selects the scheduling discipline — a
-    preset name (see :func:`repro.serve.serve_policy_names`), a
-    :class:`repro.serve.ServePolicy` spec or a spec dict; the default
-    reproduces the historical scheduler exactly.  Returns the
-    :class:`repro.serve.ServingReport` with per-request TTFT/TPOT/e2e records,
-    percentiles, per-priority-class breakdowns, goodput and the queue-depth
-    timeline.  On a platform with a
-    finite ``hbm_capacity_bytes``, ``kv_mode`` (``"paged"`` or
-    ``"contiguous"``) selects the KV allocator and ``eviction_policy`` the
-    preemption victim order (see :func:`repro.serve.eviction_policy_names`);
-    both are inert — and the report bit-identical — when capacity is
-    unbounded.  ``report_mode="streaming"`` reports through O(1)-memory
-    percentile sketches and windowed timelines (`window_cycles` wide, error
-    bound ``sketch_accuracy``) instead of per-request records — the mode for
-    very large traces (see :mod:`repro.serve.streaming`).
-    ``engine="surrogate"`` replaces per-step simulation with a cost-model
-    prediction (``cost_model`` names a registered kind, carries a payload
-    dict or a fitted :class:`repro.costmodel.CostModel`; the default
-    adaptively calibrates from the first ``calibration_budget`` distinct
-    step signatures — see :mod:`repro.costmodel`).  For grids (rates ×
-    schedules × caps × policies), prefer the
-    registered ``serve-*`` scenarios or :func:`repro.serve.latency_load_spec`
-    / :func:`repro.serve.policy_shootout_spec`.
+    the default ``"sda"`` platform (a :class:`Platform`, a registered name or
+    a raw ``HardwareConfig``).  ``knobs`` are fields of
+    :class:`repro.serve.ServeConfig` — ``batch_cap``, ``num_layers``,
+    ``policy`` (a preset name, :class:`repro.serve.ServePolicy` or spec
+    dict), ``kv_mode`` / ``eviction_policy`` (inert on unbounded platforms),
+    ``report_mode="streaming"`` (O(1)-memory sketches for very large traces),
+    ``engine="surrogate"`` with ``cost_model`` / ``calibration_budget``
+    (:mod:`repro.costmodel`) and the rest — with the config's defaults and
+    validation; any other name is a
+    :class:`~repro.core.errors.ConfigError`.  Returns the
+    :class:`repro.serve.ServingReport` with per-request TTFT/TPOT/e2e
+    records, percentiles, per-priority-class breakdowns, goodput and the
+    queue-depth timeline.  For grids (rates × schedules × caps × policies),
+    prefer the registered ``serve-*`` scenarios or
+    :func:`repro.serve.load_grid`.
     """
+    from ..serve.fleet import configure
     from ..serve.scheduler import ServeConfig, simulate_serving
 
-    platform, config_kwargs = _resolve_serve_args(
-        "serve", platform, hardware, policy,
-        dict(model=model, batch_cap=batch_cap, num_layers=num_layers,
-             kv_tile_rows=kv_tile_rows, kv_mode=kv_mode,
-             eviction_policy=eviction_policy, moe_compute_bw=moe_compute_bw,
-             attention_compute_bw=attention_compute_bw, seed=seed,
-             report_mode=report_mode, window_cycles=window_cycles,
-             sketch_accuracy=sketch_accuracy, engine=engine,
-             cost_model=cost_model, calibration_budget=calibration_budget))
-    return simulate_serving(ServeConfig(**config_kwargs), trace, schedule,
-                            hardware=platform)
+    config = configure(ServeConfig(model=model), **knobs)
+    return simulate_serving(config, trace, schedule, hardware=platform)
 
 
-def serve_fleet(model, trace, schedule=None, *, num_replicas: int = 2,
-                routing: str = "round-robin", warmup_cycles: float = 0.0,
-                autoscaler=None, batch_cap: int = 8, num_layers: int = 2,
-                platform=None, hardware=None, policy=None,
-                kv_tile_rows: int = 64, kv_mode: str = "paged",
-                eviction_policy: str = "evict-lru",
-                moe_compute_bw: int = 8192, attention_compute_bw: int = 256,
-                seed: int = 0, report_mode: str = "full",
-                window_cycles: float = 100_000.0,
-                sketch_accuracy: float = 0.01, engine: str = "exact",
-                cost_model=None, calibration_budget: int = 64):
+def serve_fleet(model, trace, schedule=None, *, platform=None,
+                num_replicas: int = 2, **knobs):
     """Serve one trace on a fleet of replicas and return its full report.
 
     The fleet runs ``num_replicas`` copies of the continuous-batching engine
-    behind a dispatcher using the named ``routing`` policy (``"round-robin"``,
+    behind a dispatcher.  ``knobs`` are fields of
+    :class:`repro.serve.FleetConfig` — ``routing`` (``"round-robin"``,
     ``"least-loaded"``, ``"least-kv"`` or ``"most-free-kv"``; see
-    :func:`repro.serve.routing_policy_names`).  ``warmup_cycles`` charges each
-    replica a one-time cold-start cost before its first step; pass an
-    :class:`repro.serve.AutoscalerConfig` as ``autoscaler`` to scale the fleet
-    reactively with queue depth.  ``platform`` / ``hardware`` / ``policy`` /
-    ``kv_mode`` / ``eviction_policy`` / ``report_mode`` / ``engine`` /
-    ``cost_model`` configure every
-    replica's engine exactly
-    as in :func:`serve` (same deprecation shim, same default policy; in
-    streaming mode each replica keeps sketches and the fleet report merges
-    them).  Returns the :class:`repro.serve.FleetReport`
-    with per-replica serving reports, fleet-level latency percentiles,
-    utilization/imbalance and the scaling-event timeline.  A fleet of one
-    replica with zero warm-up reproduces :func:`serve` bit-for-bit.
+    :func:`repro.serve.routing_policy_names`), ``warmup_cycles`` (a one-time
+    cold-start cost per replica), ``autoscaler`` (an
+    :class:`repro.serve.AutoscalerConfig` scaling the fleet with queue
+    depth) — or of :class:`repro.serve.ServeConfig`, which configure every
+    replica exactly as in :func:`serve` (in streaming mode each replica keeps
+    sketches and the fleet report merges them).  Returns the
+    :class:`repro.serve.FleetReport` with per-replica serving reports,
+    fleet-level latency percentiles, utilization/imbalance and the
+    scaling-event timeline.  A fleet of one replica with zero warm-up
+    reproduces :func:`serve` bit-for-bit.
     """
-    from ..serve.fleet import FleetConfig, simulate_fleet
+    from ..serve.fleet import FleetConfig, configure, simulate_fleet
     from ..serve.scheduler import ServeConfig
 
-    platform, config_kwargs = _resolve_serve_args(
-        "serve_fleet", platform, hardware, policy,
-        dict(model=model, batch_cap=batch_cap, num_layers=num_layers,
-             kv_tile_rows=kv_tile_rows, kv_mode=kv_mode,
-             eviction_policy=eviction_policy, moe_compute_bw=moe_compute_bw,
-             attention_compute_bw=attention_compute_bw, seed=seed,
-             report_mode=report_mode, window_cycles=window_cycles,
-             sketch_accuracy=sketch_accuracy, engine=engine,
-             cost_model=cost_model, calibration_budget=calibration_budget))
-    config = FleetConfig(serve=ServeConfig(**config_kwargs),
-                         num_replicas=num_replicas,
-                         routing=routing, warmup_cycles=warmup_cycles,
-                         autoscaler=autoscaler)
+    config = configure(FleetConfig(serve=ServeConfig(model=model)),
+                       num_replicas=num_replicas, **knobs)
     return simulate_fleet(config, trace, schedule, hardware=platform)
 
 

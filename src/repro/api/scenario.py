@@ -57,7 +57,7 @@ class Scenario:
     (optional) adds a fourth axis — a mapping from label to
     :class:`~repro.serve.policy.ServePolicy` (or preset name / spec dict),
     usually built with :func:`~repro.serve.policy.policy_grid`; every
-    workload in the scenario must then carry a ``policy`` field
+    workload in the scenario must then carry a serving ``config``
     (:class:`~repro.serve.workload.ServeWorkload` /
     :class:`~repro.serve.fleet.FleetWorkload`), and each grid cell runs the
     workload under that cell's policy.  ``seed`` feeds
@@ -105,18 +105,21 @@ class Scenario:
                                   next(iter(self.policies.values())))
 
     def _with_policy(self, workload, label: str, policy):
-        """``workload`` rebound to ``policy`` (must carry a policy field)."""
+        """``workload`` rebound to ``policy`` (must carry a serving config)."""
         import dataclasses
 
-        if not (dataclasses.is_dataclass(workload)
-                and any(f.name == "policy"
-                        for f in dataclasses.fields(workload))):
+        from ..serve.fleet import FleetConfig, configure
+        from ..serve.scheduler import ServeConfig
+
+        config = getattr(workload, "config", None)
+        if not isinstance(config, (ServeConfig, FleetConfig)):
             raise ConfigError(
                 f"{self.name}: workload {label!r} "
-                f"({type(workload).__name__}) has no policy field; the "
+                f"({type(workload).__name__}) has no serving config; the "
                 f"policies axis applies to serving workloads "
                 f"(ServeWorkload / FleetWorkload)")
-        return dataclasses.replace(workload, policy=policy)
+        return dataclasses.replace(workload,
+                                   config=configure(config, policy=policy))
 
     def grid(self) -> List[Tuple[str, ...]]:
         """The (workload, schedule, platform[, policy]) label cross product.

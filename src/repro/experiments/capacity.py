@@ -18,8 +18,8 @@ earlier than the unbounded baseline because admission stalls and
 preemptions inflate TTFT before compute saturates.
 
 The whole study is **one** declarative record: :func:`spec` builds the
-platforms × rates grid as a single cartesian :class:`~repro.sweep.SweepSpec`
-over the ``"serve"`` task (:func:`repro.serve.sweep.capacity_spec`),
+platforms × rates grid as a single :class:`~repro.sweep.SweepSpec`
+over the ``"serve"`` task (:func:`repro.serve.sweep.load_grid`),
 registered as the ``"capacity"`` experiment, and :func:`run` post-processes
 it into per-platform attainment curves plus the max-sustainable-rate
 summary.  Points are cached and pool-parallel like every figure sweep, and
@@ -33,10 +33,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..api.experiment import ExperimentSpec, register_experiment
 from ..schedules import Schedule
-from ..serve.library import SMOKE_LENGTHS, _serve_model
-from ..serve.sweep import capacity_spec
+from ..serve.library import SMOKE_LENGTHS
 from ..sweep import SweepRunner, SweepSpec, resolve_runner
-from .common import DEFAULT_SCALE, ExperimentScale, resolve_scale
+from .common import DEFAULT_SCALE, ExperimentScale, resolve_scale, serving_grid
 
 #: the per-rate metrics each platform's curve reports
 _ROW_METRICS = ("slo_attainment", "slo_goodput_rpmc", "goodput_rpmc",
@@ -46,22 +45,17 @@ _ROW_METRICS = ("slo_attainment", "slo_goodput_rpmc", "goodput_rpmc",
 def spec(scale: ExperimentScale = DEFAULT_SCALE, **overrides) -> SweepSpec:
     """The capacity study (platforms × rates) as one spec.
 
-    ``overrides`` forward to :func:`repro.serve.sweep.capacity_spec`
+    ``overrides`` route through :func:`repro.experiments.common.serving_grid`
     (``rates``, ``platforms``, ``generator``, ``num_requests``,
     ``report_mode`` …).
     """
     scale = resolve_scale(scale)
-    model = _serve_model(scale.model_scale, max_experts=scale.serve_max_experts)
-    kwargs = dict(rates=scale.serve_rates,
-                  platforms=list(scale.capacity_platforms),
-                  ttft_slo=scale.capacity_ttft_slo,
-                  generator=scale.capacity_generator,
-                  batch_cap=scale.serve_batch_cap,
-                  num_requests=scale.serve_requests, seed=scale.seed,
-                  num_layers=scale.serve_layers,
-                  name=f"capacity-{scale.name}", **SMOKE_LENGTHS)
-    kwargs.update(overrides)
-    return capacity_spec(model, Schedule.dynamic(), **kwargs)
+    axes = {"platform": scale.capacity_platforms,
+            "arrival_rate": scale.serve_rates}
+    return serving_grid(scale, "capacity", axes, overrides, SMOKE_LENGTHS,
+                        trace={"generator": scale.capacity_generator},
+                        schedule=Schedule.dynamic(),
+                        ttft_slo=scale.capacity_ttft_slo)
 
 
 @register_experiment("capacity",
@@ -83,7 +77,7 @@ def run(scale: ExperimentScale = DEFAULT_SCALE,
     grid = spec(scale)
     metrics = runner.metrics(grid)
 
-    # the grid is platform-major (see capacity_spec); one slice per platform
+    # the grid is platform-major (see spec); one slice per platform
     # covers its rate ladder
     labels = list(scale.capacity_platforms)
     rates = list(scale.serve_rates)

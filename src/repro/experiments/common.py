@@ -154,6 +154,55 @@ def hardware(scale: ExperimentScale) -> HardwareConfig:
     return platform(scale).hardware
 
 
+#: experiment override spellings of the serving load-grid axes
+AXIS_OVERRIDES = {"rates": "arrival_rate", "batch_caps": "batch_cap",
+                  "platforms": "platform", "policies": "policy",
+                  "routings": "routing", "num_replicas": "num_replicas"}
+
+
+def serving_grid(scale: ExperimentScale, name: str, axes, overrides,
+                 lengths, fleet=None, knobs=None, trace=None, **grid):
+    """A serving experiment's :func:`~repro.serve.sweep.load_grid` at ``scale``.
+
+    The base config is the scale's server (``serve_*`` model, batch cap and
+    layers, plus ``knobs``), wrapped in a fleet with the ``fleet`` knobs when
+    those are given; the trace spec is the scale's request count and seed
+    plus ``lengths`` and ``trace``.  Caller ``overrides`` are routed by name:
+    an :data:`AXIS_OVERRIDES` spelling replaces that axis' values,
+    ``ttft_slo`` / ``platform`` / ``name`` replace the ``load_grid`` keyword,
+    a config knob is applied to the config, and a trace-spec key — or any
+    other name — goes to the trace spec (``seed`` names both and sets both).
+    """
+    from ..serve.fleet import FleetConfig, configure, knob_names
+    from ..serve.library import _serve_model
+    from ..serve.scheduler import ServeConfig
+    from ..serve.sweep import load_grid
+
+    config = ServeConfig(model=_serve_model(scale.model_scale,
+                                            max_experts=scale.serve_max_experts),
+                         batch_cap=scale.serve_batch_cap,
+                         num_layers=scale.serve_layers, seed=scale.seed,
+                         **(knobs or {}))
+    if fleet is not None:
+        config = FleetConfig(serve=config, **fleet)
+    axes = dict(axes)
+    trace = {"num_requests": scale.serve_requests, "seed": scale.seed,
+             **lengths, **(trace or {})}
+    grid = {"name": f"{name}-{scale.name}", **grid}
+    applied = {}
+    for key, value in overrides.items():
+        if AXIS_OVERRIDES.get(key) in axes:
+            axes[AXIS_OVERRIDES[key]] = value
+        elif key in ("ttft_slo", "platform", "name"):
+            grid[key] = value
+        else:
+            if key in knob_names(config):
+                applied[key] = value
+            if key in trace or key not in knob_names(config):
+                trace[key] = value
+    return load_grid(configure(config, **applied), axes, trace=trace, **grid)
+
+
 def resolve_scale(value) -> ExperimentScale:
     """An :class:`ExperimentScale` from a preset name or a scale object."""
     if isinstance(value, ExperimentScale):

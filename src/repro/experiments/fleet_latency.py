@@ -10,8 +10,8 @@ of N pushes the saturation rate out by roughly N× while load-aware routing
 (least-loaded / least-kv) holds the imbalance down where round-robin drifts.
 
 The whole study is **one** declarative record: :func:`spec` builds the grid
-as a single cartesian :class:`~repro.sweep.SweepSpec` over the ``"fleet"``
-task (:func:`repro.serve.sweep.fleet_latency_spec`), registered as the
+as a single :class:`~repro.sweep.SweepSpec` over the ``"fleet"``
+task (:func:`repro.serve.sweep.load_grid`), registered as the
 ``"fleet-latency"`` experiment — ``repro.api.experiment("fleet-latency")``
 returns it as a JSON-serializable :class:`~repro.api.ExperimentSpec` and
 :func:`run` post-processes the same grid into per-replica-count curves.
@@ -25,11 +25,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..api.experiment import ExperimentSpec, register_experiment
-from ..serve.library import SMOKE_LENGTHS, _serve_model
-from ..serve.sweep import fleet_latency_spec
 from ..schedules import Schedule
+from ..serve.library import SMOKE_LENGTHS
 from ..sweep import SweepRunner, SweepSpec, resolve_runner
-from .common import DEFAULT_SCALE, ExperimentScale, platform, resolve_scale
+from .common import (DEFAULT_SCALE, ExperimentScale, platform, resolve_scale,
+                     serving_grid)
 
 #: the per-cell metrics each row of the curves reports
 _ROW_METRICS = ("ttft_p50", "ttft_p95", "e2e_p95", "goodput_rpmc",
@@ -39,21 +39,17 @@ _ROW_METRICS = ("ttft_p50", "ttft_p95", "e2e_p95", "goodput_rpmc",
 def spec(scale: ExperimentScale = DEFAULT_SCALE, **overrides) -> SweepSpec:
     """The fleet grid (replicas × routing × rates) as one spec.
 
-    ``overrides`` forward to :func:`repro.serve.sweep.fleet_latency_spec`
+    ``overrides`` route through :func:`repro.experiments.common.serving_grid`
     (``rates``, ``num_replicas``, ``routings``, ``warmup_cycles``,
     ``autoscaler``, ``num_requests``, ``seed``, ``platform`` …).
     """
     scale = resolve_scale(scale)
-    model = _serve_model(scale.model_scale, max_experts=scale.serve_max_experts)
-    kwargs = dict(rates=scale.serve_rates, num_replicas=scale.fleet_replicas,
-                  routings=scale.fleet_routings,
-                  batch_cap=scale.serve_batch_cap,
-                  num_requests=scale.serve_requests, seed=scale.seed,
-                  platform=platform(scale), num_layers=scale.serve_layers,
-                  warmup_cycles=scale.fleet_warmup_cycles,
-                  name=f"fleet-latency-{scale.name}", **SMOKE_LENGTHS)
-    kwargs.update(overrides)
-    return fleet_latency_spec(model, Schedule.dynamic(), **kwargs)
+    axes = {"num_replicas": scale.fleet_replicas,
+            "routing": scale.fleet_routings,
+            "arrival_rate": scale.serve_rates}
+    return serving_grid(scale, "fleet-latency", axes, overrides, SMOKE_LENGTHS,
+                        fleet={"warmup_cycles": scale.fleet_warmup_cycles},
+                        schedule=Schedule.dynamic(), platform=platform(scale))
 
 
 @register_experiment("fleet-latency",
@@ -75,7 +71,7 @@ def run(scale: ExperimentScale = DEFAULT_SCALE,
     grid = spec(scale)
     metrics = runner.metrics(grid)
 
-    # the grid is replica-major then routing-major (see fleet_latency_spec);
+    # the grid is replica-major then routing-major (see spec);
     # one slice per (replicas, routing) pair covers its rate ladder
     replicas = list(scale.fleet_replicas)
     routings = list(scale.fleet_routings)

@@ -22,8 +22,8 @@ pinned by ``tests/experiments/test_memory_pressure.py``, alongside p99 TTFT,
 which inflates much faster on the bounded platforms.
 
 The whole study is **one** declarative record: :func:`spec` builds the
-platforms × rates grid as a single cartesian :class:`~repro.sweep.SweepSpec`
-over the ``"serve"`` task (:func:`repro.serve.sweep.memory_pressure_spec`),
+platforms × rates grid as a single :class:`~repro.sweep.SweepSpec`
+over the ``"serve"`` task (:func:`repro.serve.sweep.load_grid`),
 registered as the ``"memory-pressure"`` experiment, and :func:`run`
 post-processes it into per-capacity curves.  Points are cached and
 pool-parallel like every figure sweep, and the experiment is deterministic —
@@ -39,9 +39,8 @@ from ..platforms import Platform, platform_grid
 from ..schedules import Schedule
 from ..serve.library import OVERLOAD_LENGTHS, _serve_model
 from ..serve.memory import kv_bytes_per_row
-from ..serve.sweep import memory_pressure_spec
 from ..sweep import SweepRunner, SweepSpec, resolve_runner
-from .common import DEFAULT_SCALE, ExperimentScale, resolve_scale
+from .common import DEFAULT_SCALE, ExperimentScale, resolve_scale, serving_grid
 
 #: KV rows per page — the serving engine's kv_tile_rows, which is also the
 #: KVPagePool's page granularity (one definition keeps the byte budgets in
@@ -71,21 +70,17 @@ def capacity_platforms(scale: ExperimentScale) -> Dict[str, Platform]:
 def spec(scale: ExperimentScale = DEFAULT_SCALE, **overrides) -> SweepSpec:
     """The capacity study (platforms × rates) as one spec.
 
-    ``overrides`` forward to :func:`repro.serve.sweep.memory_pressure_spec`
+    ``overrides`` route through :func:`repro.experiments.common.serving_grid`
     (``rates``, ``platforms``, ``num_requests``, ``kv_mode``,
     ``eviction_policy`` …).
     """
     scale = resolve_scale(scale)
-    model = _serve_model(scale.model_scale, max_experts=scale.serve_max_experts)
-    kwargs = dict(rates=scale.serve_rates,
-                  platforms=list(capacity_platforms(scale).values()),
-                  batch_cap=scale.serve_batch_cap,
-                  num_requests=scale.serve_requests, seed=scale.seed,
-                  num_layers=scale.serve_layers, kv_tile_rows=KV_PAGE_ROWS,
-                  ttft_slo=scale.memory_ttft_slo,
-                  name=f"memory-pressure-{scale.name}", **OVERLOAD_LENGTHS)
-    kwargs.update(overrides)
-    return memory_pressure_spec(model, Schedule.dynamic(), **kwargs)
+    axes = {"platform": list(capacity_platforms(scale).values()),
+            "arrival_rate": scale.serve_rates}
+    return serving_grid(scale, "memory-pressure", axes, overrides,
+                        OVERLOAD_LENGTHS, knobs={"kv_tile_rows": KV_PAGE_ROWS},
+                        schedule=Schedule.dynamic(),
+                        ttft_slo=scale.memory_ttft_slo)
 
 
 @register_experiment("memory-pressure",
@@ -107,7 +102,7 @@ def run(scale: ExperimentScale = DEFAULT_SCALE,
     grid = spec(scale)
     metrics = runner.metrics(grid)
 
-    # the grid is platform-major (see memory_pressure_spec); one slice per
+    # the grid is platform-major (see spec); one slice per
     # capacity covers its rate ladder
     labels = list(capacity_platforms(scale))
     rates = list(scale.serve_rates)

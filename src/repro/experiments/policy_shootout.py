@@ -20,9 +20,9 @@ arrival would otherwise miss.  The default policy reproduces the historical
 scheduler exactly and anchors the comparison.
 
 The whole study is **one** declarative record: :func:`spec` builds the
-policies × platforms × rates grid as a single cartesian
+policies × platforms × rates grid as a single
 :class:`~repro.sweep.SweepSpec` over the ``"serve"`` task
-(:func:`repro.serve.sweep.policy_shootout_spec`) — each policy is a regular
+(:func:`repro.serve.sweep.load_grid`) — each policy is a regular
 axis value, so policy identity lands in every point's cache key — registered
 as the ``"policy-shootout"`` experiment, and :func:`run` post-processes it
 into per-policy curves and a per-platform winner summary.
@@ -33,12 +33,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..api.experiment import ExperimentSpec, register_experiment
-from ..platforms import get_platform
 from ..schedules import Schedule
-from ..serve.library import OVERLOAD_LENGTHS, _serve_model
-from ..serve.sweep import policy_shootout_spec
+from ..serve.library import OVERLOAD_LENGTHS
 from ..sweep import SweepRunner, SweepSpec, resolve_runner
-from .common import DEFAULT_SCALE, ExperimentScale, resolve_scale
+from .common import DEFAULT_SCALE, ExperimentScale, resolve_scale, serving_grid
 
 #: the per-rate metrics each policy's curve reports
 _ROW_METRICS = ("slo_attainment", "slo_goodput_rpmc", "ttft_p99",
@@ -48,23 +46,17 @@ _ROW_METRICS = ("slo_attainment", "slo_goodput_rpmc", "ttft_p99",
 def spec(scale: ExperimentScale = DEFAULT_SCALE, **overrides) -> SweepSpec:
     """The policy study (policies × platforms × rates) as one spec.
 
-    ``overrides`` forward to :func:`repro.serve.sweep.policy_shootout_spec`
+    ``overrides`` route through :func:`repro.experiments.common.serving_grid`
     (``policies``, ``platforms``, ``rates``, ``ttft_slo``,
     ``num_requests`` …).
     """
     scale = resolve_scale(scale)
-    model = _serve_model(scale.model_scale, max_experts=scale.serve_max_experts)
-    kwargs = dict(rates=scale.serve_rates,
-                  policies=list(scale.policy_names),
-                  platforms=[get_platform(name)
-                             for name in scale.policy_platforms],
-                  ttft_slo=scale.policy_ttft_slo,
-                  batch_cap=scale.serve_batch_cap,
-                  num_requests=scale.serve_requests, seed=scale.seed,
-                  num_layers=scale.serve_layers, kv_tile_rows=64,
-                  name=f"policy-shootout-{scale.name}", **OVERLOAD_LENGTHS)
-    kwargs.update(overrides)
-    return policy_shootout_spec(model, Schedule.dynamic(), **kwargs)
+    axes = {"policy": scale.policy_names, "platform": scale.policy_platforms,
+            "arrival_rate": scale.serve_rates}
+    return serving_grid(scale, "policy-shootout", axes, overrides,
+                        OVERLOAD_LENGTHS, knobs={"kv_tile_rows": 64},
+                        schedule=Schedule.dynamic(),
+                        ttft_slo=scale.policy_ttft_slo)
 
 
 @register_experiment("policy-shootout",
@@ -88,8 +80,8 @@ def run(scale: ExperimentScale = DEFAULT_SCALE,
     grid = spec(scale)
     metrics = runner.metrics(grid)
 
-    # the grid is policy-major, then platform, then rate (see
-    # policy_shootout_spec); one slice per (policy, platform) covers its ladder
+    # the grid is policy-major, then platform, then rate (see spec); one
+    # slice per (policy, platform) covers its ladder
     policies = list(scale.policy_names)
     platforms = list(scale.policy_platforms)
     rates = list(scale.serve_rates)

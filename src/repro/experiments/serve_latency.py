@@ -10,9 +10,9 @@ once the offered load crosses the engine's service capacity — and how much
 further the dynamic schedule pushes that knee.
 
 The whole study is **one** declarative record: :func:`spec` builds the
-schedules × rates × caps grid as a single cartesian
+schedules × rates × caps grid as a single
 :class:`~repro.sweep.SweepSpec` over the ``"serve"`` task
-(:func:`repro.serve.sweep.serve_latency_spec`), registered as the
+(:func:`repro.serve.sweep.load_grid`), registered as the
 ``"serve-latency"`` experiment — ``repro.api.experiment("serve-latency")``
 returns it as a JSON-serializable :class:`~repro.api.ExperimentSpec` and
 :func:`run` post-processes the same grid into the latency-vs-load curve.
@@ -27,10 +27,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..api.experiment import ExperimentSpec, register_experiment
-from ..serve.library import SMOKE_LENGTHS, _serve_model, serve_schedules
-from ..serve.sweep import serve_latency_spec
+from ..serve.library import SMOKE_LENGTHS, serve_schedules
 from ..sweep import SweepRunner, SweepSpec, resolve_runner
-from .common import DEFAULT_SCALE, ExperimentScale, platform, resolve_scale
+from .common import (DEFAULT_SCALE, ExperimentScale, platform, resolve_scale,
+                     serving_grid)
 
 #: the per-rate metrics each row of the curve reports, per schedule
 _ROW_METRICS = ("ttft_p50", "ttft_p95", "tpot_p50", "e2e_p95", "goodput_rpmc",
@@ -40,17 +40,16 @@ _ROW_METRICS = ("ttft_p50", "ttft_p95", "tpot_p50", "e2e_p95", "goodput_rpmc",
 def spec(scale: ExperimentScale = DEFAULT_SCALE, **overrides) -> SweepSpec:
     """The latency-vs-load grid (schedules × rates × caps) as one spec.
 
-    ``overrides`` forward to :func:`repro.serve.sweep.serve_latency_spec`
-    (``rates``, ``batch_caps``, ``num_requests``, ``seed``, ``platform`` …).
+    ``overrides`` route through :func:`repro.experiments.common.serving_grid`
+    (``rates``, ``batch_caps``, ``num_requests``, ``seed``, ``platform``, any
+    :class:`~repro.serve.ServeConfig` field …).
     """
     scale = resolve_scale(scale)
-    model = _serve_model(scale.model_scale, max_experts=scale.serve_max_experts)
-    kwargs = dict(rates=scale.serve_rates, batch_caps=(scale.serve_batch_cap,),
-                  num_requests=scale.serve_requests, seed=scale.seed,
-                  platform=platform(scale), num_layers=scale.serve_layers,
-                  name=f"serve-latency-{scale.name}", **SMOKE_LENGTHS)
-    kwargs.update(overrides)
-    return serve_latency_spec(model, serve_schedules(), **kwargs)
+    axes = {"schedule": list(serve_schedules().values()),
+            "arrival_rate": scale.serve_rates,
+            "batch_cap": (scale.serve_batch_cap,)}
+    return serving_grid(scale, "serve-latency", axes, overrides, SMOKE_LENGTHS,
+                        platform=platform(scale))
 
 
 @register_experiment("serve-latency",
@@ -71,7 +70,7 @@ def run(scale: ExperimentScale = DEFAULT_SCALE,
     grid = spec(scale)
     metrics = runner.metrics(grid)
 
-    # the grid is schedule-major (see serve_latency_spec); one slice per
+    # the grid is schedule-major (see spec); one slice per
     # schedule covers its rates × caps block
     labels = list(serve_schedules())
     block = len(metrics) // len(labels)

@@ -33,11 +33,15 @@ Entry points, highest level first:
 * the registered ``serve-*`` / ``fleet-*`` scenarios
   (:mod:`repro.serve.library`) — named grids runnable via
   ``repro.api.run("serve-poisson")`` / ``run("fleet-grid")``,
-* :func:`~repro.serve.sweep.latency_load_spec` /
-  :func:`~repro.serve.sweep.fleet_latency_spec` — load grids on the sweep
+* :func:`~repro.serve.sweep.load_grid` — load grids on the sweep
   runner/cache (the ``"serve"`` and ``"fleet"`` tasks),
 * :func:`~repro.serve.scheduler.simulate_serving` /
   :func:`~repro.serve.fleet.simulate_fleet` — the raw simulators.
+
+Every serving knob is a field of :class:`~repro.serve.scheduler.ServeConfig`
+(the per-replica server) or :class:`~repro.serve.fleet.FleetConfig` (the
+dispatcher); every entry point above carries that one value, and
+:func:`~repro.serve.fleet.configure` applies keyword knobs to it.
 
 Everything is deterministic: a trace is a pure function of its seed and a
 report a pure function of (config, trace, schedule, hardware).
@@ -72,11 +76,9 @@ from .memory import (EVICTION_POLICIES, KV_MODES, EvictionPolicy, KVPagePool,
 from .scheduler import (ReplicaEngine, ServeConfig, StepMemo, clear_step_cache,
                         simulate_serving, step_cache_stats)
 from .fleet import (AutoscalerConfig, FleetConfig, FleetWorkload, RoutingPolicy,
-                    get_routing_policy, register_routing_policy,
+                    configure, get_routing_policy, register_routing_policy,
                     routing_policy_names, simulate_fleet)
-from .sweep import (capacity_spec, fleet_latency_spec, fleet_point,
-                    latency_load_spec, memory_pressure_spec,
-                    policy_shootout_spec, serve_point)
+from .sweep import fleet_point, load_grid, serve_point
 from . import library  # registers the serve-* / fleet-* scenarios  # noqa: F401
 
 __all__ = [
@@ -168,17 +170,14 @@ __all__ = [
     # fleet
     "AutoscalerConfig",
     "FleetConfig",
+    "configure",
     "RoutingPolicy",
     "simulate_fleet",
     "register_routing_policy",
     "get_routing_policy",
     "routing_policy_names",
     # sweeps
-    "latency_load_spec",
+    "load_grid",
     "serve_point",
-    "fleet_latency_spec",
     "fleet_point",
-    "memory_pressure_spec",
-    "policy_shootout_spec",
-    "capacity_spec",
 ]

@@ -39,6 +39,7 @@ simulate_serving` exactly (pinned by ``tests/serve/test_fleet.py``).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence
 
@@ -47,9 +48,8 @@ from ..core.errors import ConfigError
 from ..platforms import PlatformLike
 from ..schedules import Schedule
 from ..sim.executors.common import HardwareConfig
-from ..workloads.configs import ModelConfig
 from .arrivals import ArrivalTrace, Request
-from .policy import ServePolicy, resolve_serve_policy
+from .policy import DEFAULT_POLICY
 from .registry import attach_registry, resolve_registered, seal_builtins
 from .report import FleetReport, ReplicaReport, ScalingEvent
 from .scheduler import ReplicaEngine, ServeConfig
@@ -279,6 +279,46 @@ class FleetConfig:
         resolve_registered("routing", self.routing)
 
 
+_SERVE_KNOBS = frozenset(f.name for f in dataclasses.fields(ServeConfig))
+_FLEET_KNOBS = frozenset(f.name for f in dataclasses.fields(FleetConfig)) - {"serve"}
+
+
+def knob_names(config) -> frozenset:
+    """The knob names :func:`configure` accepts for ``config``.
+
+    A :class:`ServeConfig` takes its own fields; a :class:`FleetConfig` takes
+    its dispatcher fields plus every :class:`ServeConfig` field, which land
+    on the per-replica ``serve`` template.
+    """
+    if isinstance(config, FleetConfig):
+        return _SERVE_KNOBS | _FLEET_KNOBS
+    return _SERVE_KNOBS
+
+
+def configure(config, **knobs):
+    """``config`` with ``knobs`` applied through :func:`dataclasses.replace`.
+
+    The one keyword path onto a serving config: the facade
+    (:func:`repro.api.serve` / :func:`repro.api.serve_fleet`) and the
+    :func:`~repro.serve.sweep.load_grid` axes both go through it, so every
+    knob is validated by the config itself.  A name that is not a field
+    (see :func:`knob_names`) is a :class:`ConfigError`.
+    """
+    unknown = set(knobs) - knob_names(config)
+    if unknown:
+        raise ConfigError(f"unknown serving knobs {sorted(unknown)}; known: "
+                          f"{sorted(knob_names(config))}")
+    if not knobs:
+        return config
+    if not isinstance(config, FleetConfig):
+        return dataclasses.replace(config, **knobs)
+    fleet = {k: v for k, v in knobs.items() if k in _FLEET_KNOBS}
+    serve = {k: v for k, v in knobs.items() if k in _SERVE_KNOBS}
+    if serve:
+        fleet["serve"] = dataclasses.replace(config.serve, **serve)
+    return dataclasses.replace(config, **fleet)
+
+
 @dataclass
 class _FleetState:
     """Mutable dispatcher state while a fleet run is in flight."""
@@ -368,75 +408,29 @@ class FleetWorkload(WorkloadBase):
     """A whole fleet serving run as a scenario workload.
 
     The fleet counterpart of :class:`~repro.serve.workload.ServeWorkload`:
-    ``run`` executes :func:`simulate_fleet` under the given unified schedule
-    and reports the flat :meth:`~repro.serve.report.FleetReport.metrics`, so
-    replica counts and routing policies drop into scenarios, sweep grids, the
-    result cache and the benchmark suite like any other axis.  Use
-    :meth:`report` (or :func:`repro.api.serve_fleet`) when the full
+    ``run`` executes :func:`simulate_fleet` with ``config`` over ``trace``
+    under the given unified schedule and reports the flat
+    :meth:`~repro.serve.report.FleetReport.metrics`, so replica counts and
+    routing policies drop into scenarios, sweep grids, the result cache and
+    the benchmark suite like any other axis.  Use :meth:`report` (or
+    :func:`repro.api.serve_fleet`) when the full
     :class:`~repro.serve.report.FleetReport` is needed.
     """
 
     kind: ClassVar[str] = "fleet"
 
-    model: ModelConfig
+    config: FleetConfig
     trace: ArrivalTrace
-    num_replicas: int = 2
-    routing: str = "round-robin"
-    warmup_cycles: float = 0.0
-    autoscaler: Optional[AutoscalerConfig] = None
-    batch_cap: int = 8
-    num_layers: int = 2
-    kv_tile_rows: int = 64
-    moe_compute_bw: int = 8192
-    attention_compute_bw: int = 256
-    seed: int = 0
-    kv_mode: str = "paged"
-    eviction_policy: str = "evict-lru"
-    #: the per-replica scheduling discipline; None = the default policy
-    policy: Optional[ServePolicy] = None
-    #: per-replica report mode: ``"full"`` or ``"streaming"``
-    report_mode: str = "full"
-    #: streaming timeline window width, in cycles
-    window_cycles: float = 100_000.0
-    #: streaming percentile sketch relative-error bound
-    sketch_accuracy: float = 0.01
-    #: step-costing tier: ``"exact"`` simulates every step,
-    #: ``"surrogate"`` predicts from a cost model
-    engine: str = "exact"
-    #: surrogate cost model (kind name, payload dict or CostModel);
-    #: None under ``engine="surrogate"`` = adaptive ``"calibrated"``
-    cost_model: Optional[object] = None
-    #: distinct signatures probed exactly before the adaptive fit
-    calibration_budget: int = 64
 
     def build(self, schedule: Schedule,
               hardware: Optional[HardwareConfig] = None):
         raise ConfigError("FleetWorkload simulates a multi-replica serving run; "
                           "use run() — there is no single Program to build")
 
-    def fleet_config(self) -> FleetConfig:
-        serve = ServeConfig(model=self.model, batch_cap=self.batch_cap,
-                            num_layers=self.num_layers,
-                            kv_tile_rows=self.kv_tile_rows,
-                            moe_compute_bw=self.moe_compute_bw,
-                            attention_compute_bw=self.attention_compute_bw,
-                            seed=self.seed, kv_mode=self.kv_mode,
-                            eviction_policy=self.eviction_policy,
-                            policy=resolve_serve_policy(self.policy),
-                            report_mode=self.report_mode,
-                            window_cycles=self.window_cycles,
-                            sketch_accuracy=self.sketch_accuracy,
-                            engine=self.engine, cost_model=self.cost_model,
-                            calibration_budget=self.calibration_budget)
-        return FleetConfig(serve=serve, num_replicas=self.num_replicas,
-                           routing=self.routing,
-                           warmup_cycles=self.warmup_cycles,
-                           autoscaler=self.autoscaler)
-
     def report(self, schedule: Schedule,
                hardware: Optional[HardwareConfig] = None) -> FleetReport:
         """The full :class:`~repro.serve.report.FleetReport` of this run."""
-        return simulate_fleet(self.fleet_config(), self.trace, schedule,
+        return simulate_fleet(self.config, self.trace, schedule,
                               hardware=hardware)
 
     def run(self, schedule: Schedule,
@@ -444,7 +438,7 @@ class FleetWorkload(WorkloadBase):
         return self.report(schedule, hardware).metrics()
 
     def label(self) -> str:
-        base = f"fleet:{self.trace.name}:r{self.num_replicas}:{self.routing}"
-        if self.policy is None:
-            return base
-        return f"{base}:{self.policy.label}"
+        base = (f"fleet:{self.trace.name}:r{self.config.num_replicas}:"
+                f"{self.config.routing}")
+        policy = self.config.serve.policy
+        return base if policy == DEFAULT_POLICY else f"{base}:{policy.label}"

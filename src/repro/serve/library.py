@@ -104,17 +104,17 @@ def serve_poisson(model_scale: int = 32, rates: Sequence[float] = DEFAULT_RATES,
                   kv_tile_rows: int = 128, seed: int = 0) -> Scenario:
     """Poisson arrival-rate ladder × (static, dynamic) schedules."""
     from .arrivals import poisson_trace
+    from .scheduler import ServeConfig
     from .workload import ServeWorkload
 
-    model = _serve_model(model_scale)
+    config = ServeConfig(model=_serve_model(model_scale), batch_cap=batch_cap,
+                         num_layers=num_layers, kv_tile_rows=kv_tile_rows,
+                         seed=seed)
     workloads = {
-        f"rate={rate:g}": ServeWorkload(
-            model=model,
-            trace=poisson_trace(rate=rate, num_requests=num_requests, seed=seed,
-                                prompt_mean=prompt_mean, prompt_max=prompt_max,
-                                output_mean=output_mean, output_max=output_max),
-            batch_cap=batch_cap, num_layers=num_layers,
-            kv_tile_rows=kv_tile_rows, seed=seed)
+        f"rate={rate:g}": ServeWorkload(config, poisson_trace(
+            rate=rate, num_requests=num_requests, seed=seed,
+            prompt_mean=prompt_mean, prompt_max=prompt_max,
+            output_mean=output_mean, output_max=output_max))
         for rate in rates
     }
     return Scenario(
@@ -138,16 +138,17 @@ def serve_batch_cap(model_scale: int = 32, arrival_rate: float = 300.0,
                     seed: int = 0) -> Scenario:
     """One arrival rate, swept over continuous-batching caps (dynamic schedule)."""
     from .arrivals import poisson_trace
+    from .fleet import configure
+    from .scheduler import ServeConfig
     from .workload import ServeWorkload
 
-    model = _serve_model(model_scale)
+    config = ServeConfig(model=_serve_model(model_scale), num_layers=num_layers,
+                         kv_tile_rows=kv_tile_rows, seed=seed)
     trace = poisson_trace(rate=arrival_rate, num_requests=num_requests, seed=seed,
                           prompt_mean=prompt_mean, prompt_max=prompt_max,
                           output_mean=output_mean, output_max=output_max)
     workloads = {
-        f"cap={cap}": ServeWorkload(model=model, trace=trace, batch_cap=cap,
-                                    num_layers=num_layers,
-                                    kv_tile_rows=kv_tile_rows, seed=seed)
+        f"cap={cap}": ServeWorkload(configure(config, batch_cap=cap), trace)
         for cap in batch_caps
     }
     return Scenario(
@@ -171,24 +172,21 @@ def serve_burst(model_scale: int = 32, arrival_rate: float = 150.0,
                 seed: int = 0) -> Scenario:
     """Bursty vs steady arrivals at the same marginal rate (dynamic schedule)."""
     from .arrivals import burst_trace, poisson_trace
+    from .scheduler import ServeConfig
     from .workload import ServeWorkload
 
-    model = _serve_model(model_scale)
+    config = ServeConfig(model=_serve_model(model_scale), batch_cap=batch_cap,
+                         num_layers=num_layers, kv_tile_rows=kv_tile_rows,
+                         seed=seed)
     length_kwargs = dict(prompt_mean=prompt_mean, prompt_max=prompt_max,
                          output_mean=output_mean, output_max=output_max)
     workloads = {
-        "steady": ServeWorkload(
-            model=model,
-            trace=poisson_trace(rate=arrival_rate, num_requests=num_requests,
-                                seed=seed, **length_kwargs),
-            batch_cap=batch_cap, num_layers=num_layers,
-            kv_tile_rows=kv_tile_rows, seed=seed),
-        "burst": ServeWorkload(
-            model=model,
-            trace=burst_trace(rate=arrival_rate, num_requests=num_requests,
-                              burst_size=burst_size, seed=seed, **length_kwargs),
-            batch_cap=batch_cap, num_layers=num_layers,
-            kv_tile_rows=kv_tile_rows, seed=seed),
+        "steady": ServeWorkload(config, poisson_trace(
+            rate=arrival_rate, num_requests=num_requests, seed=seed,
+            **length_kwargs)),
+        "burst": ServeWorkload(config, burst_trace(
+            rate=arrival_rate, num_requests=num_requests,
+            burst_size=burst_size, seed=seed, **length_kwargs)),
     }
     return Scenario(
         name="serve-burst",
@@ -219,18 +217,17 @@ def serve_overload(model_scale: int = 32, rates: Sequence[float] = DEFAULT_RATES
     """
     from ..platforms import get_platform
     from .arrivals import poisson_trace
+    from .scheduler import ServeConfig
     from .workload import ServeWorkload
 
-    model = _serve_model(model_scale)
+    config = ServeConfig(model=_serve_model(model_scale), batch_cap=batch_cap,
+                         num_layers=num_layers, kv_tile_rows=kv_tile_rows,
+                         eviction_policy=eviction_policy, seed=seed)
     workloads = {
-        f"rate={rate:g}": ServeWorkload(
-            model=model,
-            trace=poisson_trace(rate=rate, num_requests=num_requests, seed=seed,
-                                prompt_mean=prompt_mean, prompt_max=prompt_max,
-                                output_mean=output_mean, output_max=output_max),
-            batch_cap=batch_cap, num_layers=num_layers,
-            kv_tile_rows=kv_tile_rows, eviction_policy=eviction_policy,
-            seed=seed)
+        f"rate={rate:g}": ServeWorkload(config, poisson_trace(
+            rate=rate, num_requests=num_requests, seed=seed,
+            prompt_mean=prompt_mean, prompt_max=prompt_max,
+            output_mean=output_mean, output_max=output_max))
         for rate in rates
     }
     return Scenario(
@@ -265,6 +262,7 @@ def serve_paged_vs_contiguous(model_scale: int = 32, arrival_rate: float = 300.0
     """
     from ..platforms import get_platform
     from .arrivals import poisson_trace
+    from .scheduler import ServeConfig
     from .workload import ServeWorkload
 
     model = _serve_model(model_scale)
@@ -273,10 +271,10 @@ def serve_paged_vs_contiguous(model_scale: int = 32, arrival_rate: float = 300.0
                           prompt_max=prompt_max, output_mean=output_mean,
                           output_max=output_max)
     workloads = {
-        mode: ServeWorkload(model=model, trace=trace, batch_cap=batch_cap,
-                            num_layers=num_layers, kv_tile_rows=kv_tile_rows,
-                            kv_mode=mode, eviction_policy=eviction_policy,
-                            seed=seed)
+        mode: ServeWorkload(ServeConfig(
+            model=model, batch_cap=batch_cap, num_layers=num_layers,
+            kv_tile_rows=kv_tile_rows, kv_mode=mode,
+            eviction_policy=eviction_policy, seed=seed), trace)
         for mode in ("paged", "contiguous")
     }
     return Scenario(
@@ -308,16 +306,16 @@ def serve_policies(model_scale: int = 32, arrival_rate: float = 300.0,
     """
     from .arrivals import poisson_trace
     from .policy import policy_grid
+    from .scheduler import ServeConfig
     from .workload import ServeWorkload
 
-    model = _serve_model(model_scale)
     trace = poisson_trace(rate=arrival_rate, num_requests=num_requests,
                           seed=seed, prompt_mean=prompt_mean,
                           prompt_max=prompt_max, output_mean=output_mean,
                           output_max=output_max)
-    workload = ServeWorkload(model=model, trace=trace, batch_cap=batch_cap,
-                             num_layers=num_layers, kv_tile_rows=kv_tile_rows,
-                             seed=seed)
+    workload = ServeWorkload(ServeConfig(
+        model=_serve_model(model_scale), batch_cap=batch_cap,
+        num_layers=num_layers, kv_tile_rows=kv_tile_rows, seed=seed), trace)
     return Scenario(
         name="serve-policies",
         workloads={"serve": workload},
@@ -346,28 +344,22 @@ def serve_diurnal(model_scale: int = 32, arrival_rate: float = 150.0,
     request budget at the flat mean, isolating what the swing itself costs.
     """
     from .generators import generate_trace
+    from .scheduler import ServeConfig
     from .workload import ServeWorkload
 
-    model = _serve_model(model_scale)
+    config = ServeConfig(model=_serve_model(model_scale), batch_cap=batch_cap,
+                         num_layers=num_layers, kv_tile_rows=kv_tile_rows,
+                         seed=seed)
     length_kwargs = dict(prompt_mean=prompt_mean, prompt_max=prompt_max,
                          output_mean=output_mean, output_max=output_max)
     workloads = {
-        "steady": ServeWorkload(
-            model=model,
-            trace=generate_trace("poisson", rate=arrival_rate,
-                                 num_requests=num_requests, seed=seed,
-                                 **length_kwargs),
-            batch_cap=batch_cap, num_layers=num_layers,
-            kv_tile_rows=kv_tile_rows, seed=seed),
-        "diurnal": ServeWorkload(
-            model=model,
-            trace=generate_trace("diurnal", rate=arrival_rate,
-                                 num_requests=num_requests, seed=seed,
-                                 amplitude=amplitude,
-                                 period_mcycles=period_mcycles,
-                                 **length_kwargs),
-            batch_cap=batch_cap, num_layers=num_layers,
-            kv_tile_rows=kv_tile_rows, seed=seed),
+        "steady": ServeWorkload(config, generate_trace(
+            "poisson", rate=arrival_rate, num_requests=num_requests,
+            seed=seed, **length_kwargs)),
+        "diurnal": ServeWorkload(config, generate_trace(
+            "diurnal", rate=arrival_rate, num_requests=num_requests,
+            seed=seed, amplitude=amplitude, period_mcycles=period_mcycles,
+            **length_kwargs)),
     }
     return Scenario(
         name="serve-diurnal",
@@ -393,14 +385,14 @@ def serve_multitenant(model_scale: int = 32, arrival_rate: float = 200.0,
     """
     from .generators import generate_trace
     from .policy import policy_grid
+    from .scheduler import ServeConfig
     from .workload import ServeWorkload
 
-    model = _serve_model(model_scale)
     trace = generate_trace("multitenant", rate=arrival_rate,
                            num_requests=num_requests, seed=seed)
-    workload = ServeWorkload(model=model, trace=trace, batch_cap=batch_cap,
-                             num_layers=num_layers, kv_tile_rows=kv_tile_rows,
-                             seed=seed)
+    workload = ServeWorkload(ServeConfig(
+        model=_serve_model(model_scale), batch_cap=batch_cap,
+        num_layers=num_layers, kv_tile_rows=kv_tile_rows, seed=seed), trace)
     return Scenario(
         name="serve-multitenant",
         workloads={"blend": workload},
@@ -432,28 +424,27 @@ def serve_streaming(model_scale: int = 32, arrival_rate: float = 300.0,
     case (``serve-streaming-large``) keeps only ``"streaming"`` so its much
     bigger ``num_requests`` never materializes per-request records.
     """
+    from .fleet import configure
     from .generators import generate_trace
+    from .scheduler import ServeConfig
     from .workload import ServeWorkload
 
-    model = _serve_model(model_scale)
     trace = generate_trace("heavy-tail", rate=arrival_rate,
                            num_requests=num_requests, seed=seed,
                            prompt_mean=prompt_mean, prompt_max=prompt_max,
                            output_mean=output_mean, output_max=output_max)
-    common = dict(model=model, trace=trace, batch_cap=batch_cap,
-                  num_layers=num_layers, kv_tile_rows=kv_tile_rows, seed=seed)
-    cells = {
-        "full": lambda: ServeWorkload(report_mode="full", **common),
-        "streaming": lambda: ServeWorkload(report_mode="streaming",
-                                           sketch_accuracy=sketch_accuracy,
-                                           window_cycles=window_cycles,
-                                           **common),
-    }
+    full = ServeConfig(model=_serve_model(model_scale), batch_cap=batch_cap,
+                       num_layers=num_layers, kv_tile_rows=kv_tile_rows,
+                       seed=seed)
+    cells = {"full": full,
+             "streaming": configure(full, report_mode="streaming",
+                                    sketch_accuracy=sketch_accuracy,
+                                    window_cycles=window_cycles)}
     unknown = [m for m in modes if m not in cells]
     if unknown or not modes:
         raise ConfigError(f"serve-streaming: modes must be a non-empty subset "
                           f"of {sorted(cells)}, got {tuple(modes)}")
-    workloads = {mode: cells[mode]() for mode in modes}
+    workloads = {mode: ServeWorkload(cells[mode], trace) for mode in modes}
     return Scenario(
         name="serve-streaming",
         workloads=workloads,
@@ -476,18 +467,19 @@ def fleet_grid(model_scale: int = 32, rates: Sequence[float] = (160.0, 640.0),
                kv_tile_rows: int = 128, seed: int = 0) -> Scenario:
     """Fleet serving grid: replica counts × routing policies × arrival rates."""
     from .arrivals import poisson_trace
-    from .fleet import FleetWorkload
+    from .fleet import FleetConfig, FleetWorkload
+    from .scheduler import ServeConfig
 
-    model = _serve_model(model_scale)
+    serve = ServeConfig(model=_serve_model(model_scale), batch_cap=batch_cap,
+                        num_layers=num_layers, kv_tile_rows=kv_tile_rows,
+                        seed=seed)
     workloads = {
         f"r{n}:{policy}:rate={rate:g}": FleetWorkload(
-            model=model,
-            trace=poisson_trace(rate=rate, num_requests=num_requests, seed=seed,
-                                prompt_mean=prompt_mean, prompt_max=prompt_max,
-                                output_mean=output_mean, output_max=output_max),
-            num_replicas=n, routing=policy, warmup_cycles=warmup_cycles,
-            batch_cap=batch_cap, num_layers=num_layers,
-            kv_tile_rows=kv_tile_rows, seed=seed)
+            FleetConfig(serve=serve, num_replicas=n, routing=policy,
+                        warmup_cycles=warmup_cycles),
+            poisson_trace(rate=rate, num_requests=num_requests, seed=seed,
+                          prompt_mean=prompt_mean, prompt_max=prompt_max,
+                          output_mean=output_mean, output_max=output_max))
         for n in replicas for policy in routings for rate in rates
     }
     return Scenario(
@@ -513,27 +505,28 @@ def fleet_autoscale(model_scale: int = 32, arrival_rate: float = 640.0,
                     kv_tile_rows: int = 128, seed: int = 0) -> Scenario:
     """Reactive autoscaling vs fixed fleets under the same bursty traffic."""
     from .arrivals import burst_trace
-    from .fleet import AutoscalerConfig, FleetWorkload
+    from .fleet import AutoscalerConfig, FleetConfig, FleetWorkload, configure
+    from .scheduler import ServeConfig
 
-    model = _serve_model(model_scale)
     trace = burst_trace(rate=arrival_rate, num_requests=num_requests,
                         burst_size=burst_size, seed=seed,
                         prompt_mean=prompt_mean, prompt_max=prompt_max,
                         output_mean=output_mean, output_max=output_max)
-    common = dict(model=model, trace=trace, routing="least-loaded",
-                  batch_cap=batch_cap, num_layers=num_layers,
-                  kv_tile_rows=kv_tile_rows, seed=seed)
+    fixed = FleetConfig(
+        serve=ServeConfig(model=_serve_model(model_scale), batch_cap=batch_cap,
+                          num_layers=num_layers, kv_tile_rows=kv_tile_rows,
+                          seed=seed),
+        routing="least-loaded", warmup_cycles=warmup_cycles)
     autoscaler = AutoscalerConfig(
         min_replicas=1, max_replicas=max_replicas,
         scale_up_depth=scale_up_depth, scale_down_depth=scale_down_depth,
         cooldown_cycles=cooldown_cycles)
     workloads = {
-        "fixed-min": FleetWorkload(num_replicas=1, warmup_cycles=warmup_cycles,
-                                   **common),
-        "fixed-max": FleetWorkload(num_replicas=max_replicas,
-                                   warmup_cycles=warmup_cycles, **common),
-        "autoscaled": FleetWorkload(num_replicas=1, warmup_cycles=warmup_cycles,
-                                    autoscaler=autoscaler, **common),
+        "fixed-min": FleetWorkload(fixed, trace),
+        "fixed-max": FleetWorkload(
+            configure(fixed, num_replicas=max_replicas), trace),
+        "autoscaled": FleetWorkload(
+            configure(fixed, autoscaler=autoscaler), trace),
     }
     return Scenario(
         name="fleet-autoscale",
@@ -569,20 +562,21 @@ def fleet_surrogate(model_scale: int = 32, arrival_rate: float = 2000.0,
     probe budget.  Pass ``engine="exact"`` (and ``cost_model=None``) for
     the slow-tier twin of the same trace.
     """
-    from .fleet import FleetWorkload
+    from .fleet import FleetConfig, FleetWorkload
     from .generators import generate_trace
+    from .scheduler import ServeConfig
 
-    model = _serve_model(model_scale)
     trace = generate_trace("heavy-tail", rate=arrival_rate,
                            num_requests=num_requests, seed=seed,
                            prompt_mean=prompt_mean, prompt_max=prompt_max,
                            output_mean=output_mean, output_max=output_max)
-    workload = FleetWorkload(
-        model=model, trace=trace, num_replicas=num_replicas, routing=routing,
-        batch_cap=batch_cap, num_layers=num_layers, kv_tile_rows=kv_tile_rows,
-        seed=seed, report_mode="streaming", window_cycles=window_cycles,
-        engine=engine, cost_model=cost_model,
-        calibration_budget=calibration_budget)
+    serve = ServeConfig(
+        model=_serve_model(model_scale), batch_cap=batch_cap,
+        num_layers=num_layers, kv_tile_rows=kv_tile_rows, seed=seed,
+        report_mode="streaming", window_cycles=window_cycles, engine=engine,
+        cost_model=cost_model, calibration_budget=calibration_budget)
+    workload = FleetWorkload(FleetConfig(serve=serve, num_replicas=num_replicas,
+                                         routing=routing), trace)
     return Scenario(
         name="fleet-surrogate",
         workloads={"fleet": workload},

@@ -98,8 +98,8 @@ from .arrivals import ArrivalTrace, Request, quantize_up
 from .memory import (EVICTION_POLICIES, KV_MODES, EvictionPolicy, KVPagePool,
                      MemoryStats, eviction_policy_names, get_eviction_policy,
                      kv_bytes_per_row)
-from .policy import (DEFAULT_POLICY, AdmissionPolicy, BatchingPolicy,
-                     PriorityPolicy, ServePolicy)
+from .policy import (AdmissionPolicy, BatchingPolicy, PriorityPolicy,
+                     ServePolicy, resolve_serve_policy)
 from .registry import resolve_registered
 from .report import RequestRecord, ServingReport, StepSample
 from .streaming import (DEFAULT_SKETCH_ACCURACY, DEFAULT_WINDOW_CYCLES,
@@ -188,7 +188,13 @@ def step_cache_stats() -> Dict[str, int]:
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Server-side configuration of a serving run (the trace is separate)."""
+    """Server-side configuration of a serving run (the trace is separate).
+
+    The one place a serving knob is declared, defaulted and validated.  The
+    facade keywords (:func:`repro.api.serve`), the workload adapters, the
+    sweep tasks and :func:`~repro.serve.sweep.load_grid` axes all carry this
+    value or apply knobs to it through :func:`~repro.serve.fleet.configure`.
+    """
 
     model: ModelConfig
     #: maximum concurrently running requests per step (continuous batch size)
@@ -205,8 +211,9 @@ class ServeConfig:
     kv_mode: str = "paged"
     #: registered eviction policy deciding whom to preempt under pressure
     eviction_policy: str = "evict-lru"
-    #: the scheduling discipline (admission × batching × priority); None
-    #: normalizes to the default policy, the historical scheduler exactly
+    #: the scheduling discipline (admission × batching × priority): a
+    #: :class:`ServePolicy`, a preset name or a spec dict, resolved on
+    #: construction; None is the default policy, the historical scheduler
     policy: Optional[ServePolicy] = None
     #: ``"full"`` keeps every request record and step sample (the historical
     #: behavior, bit-identical); ``"streaming"`` folds them into O(1)-memory
@@ -249,12 +256,7 @@ class ServeConfig:
         if self.eviction_policy not in EVICTION_POLICIES:
             raise ConfigError(f"unknown eviction policy {self.eviction_policy!r}; "
                               f"registered: {eviction_policy_names()}")
-        if self.policy is None:
-            object.__setattr__(self, "policy", DEFAULT_POLICY)
-        elif not isinstance(self.policy, ServePolicy):
-            raise ConfigError(f"policy must be a ServePolicy (resolve names "
-                              f"via resolve_serve_policy), got "
-                              f"{type(self.policy).__name__!r}")
+        object.__setattr__(self, "policy", resolve_serve_policy(self.policy))
         if self.engine not in ENGINE_MODES:
             raise ConfigError(f"unknown engine {self.engine!r}; "
                               f"expected one of {list(ENGINE_MODES)}")

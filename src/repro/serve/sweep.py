@@ -1,433 +1,132 @@
-"""Serving sweeps: the ``"serve"`` task and arrival-rate × batch-cap grids.
+"""Serving sweeps: the ``"serve"`` / ``"fleet"`` tasks and :func:`load_grid`.
 
 The scenario path (:class:`~repro.serve.workload.ServeWorkload` under the
 generic ``"workload"`` task) covers grids whose points are pre-built workload
-objects.  Load studies instead sweep *generator parameters* — the arrival rate
-and the batch cap — so this module registers a dedicated ``"serve"`` sweep
-task taking plain parameters and building the trace inside the worker, which
-makes ``SweepSpec`` axes as simple as ``{"arrival_rate": [...],
-"batch_cap": [...]}`` (cartesian load grids, cached and pool-parallel like
-every other sweep).
+objects.  Load studies instead sweep *generator parameters* — the arrival
+rate above all — so this module registers two dedicated tasks that take a
+serving config, a trace spec and an arrival rate and build the trace inside
+the worker (nothing large crosses the pool boundary):
 
-Hardware arrives as a named :class:`~repro.platforms.Platform` (the
-``platform`` parameter), resolved through the same single path as every other
-subsystem, so serving load grids can sweep platforms exactly like scenarios
-do and platform identity participates in every cache key.
+* ``"serve"`` (:func:`serve_point`) — one :class:`ServeConfig` server,
+* ``"fleet"`` (:func:`fleet_point`) — one :class:`FleetConfig` fleet.
 
-Six grid builders:
+:func:`load_grid` builds every serving load study as **one** sweep over
+them: a base config, an ordered mapping of axes and a trace spec.  An axis
+is ``"arrival_rate"``, ``"schedule"``, ``"platform"`` or any config field
+(``batch_cap``, ``policy``, ``num_replicas`` …); config-field axes apply as
+:func:`~repro.serve.fleet.configure` overrides, so a grid can sweep every
+knob the config declares and nothing else.  The registered serving
+experiments (``serve-latency``, ``fleet-latency``, ``memory-pressure``,
+``policy-shootout``, ``capacity``) are each one ``load_grid`` call with
+their own axes.
 
-* :func:`latency_load_spec` — one (schedule, model) pair swept over arrival
-  rates and batch caps,
-* :func:`serve_latency_spec` — the full latency-vs-load record: schedules ×
-  arrival rates × batch caps in **one** cartesian spec, which is what the
-  registered ``"serve-latency"`` experiment wraps (see
-  :mod:`repro.experiments.serve_latency`),
-* :func:`fleet_latency_spec` — the fleet-scale record over the ``"fleet"``
-  task: replicas × routing policies × arrival rates in one cartesian spec
-  (the ``"fleet-latency"`` experiment, see
-  :mod:`repro.experiments.fleet_latency`),
-* :func:`memory_pressure_spec` — HBM capacities × arrival rates with the
-  *platform as a swept axis*: the goodput-cliff record behind the
-  ``"memory-pressure"`` experiment (see
-  :mod:`repro.experiments.memory_pressure`),
-* :func:`policy_shootout_spec` — scheduling policies × platforms × arrival
-  rates with a tail-TTFT SLO: the policy-comparison record behind the
-  ``policy-shootout`` experiment (see
-  :mod:`repro.experiments.policy_shootout`),
-* :func:`capacity_spec` — platforms × arrival rates under a production-shaped
-  registered trace generator and a TTFT SLO: the max-sustainable-rate record
-  behind the ``capacity`` experiment (see :mod:`repro.experiments.capacity`).
-
-The ``seed`` lives in ``base`` so every grid point serves the *same-seed*
-traffic (rate changes the inter-arrival scale, not the random stream), which
-is what makes a latency-vs-load curve comparable across its points.
+Hardware arrives as a named :class:`~repro.platforms.Platform`, resolved
+through the same single path as every other subsystem, so platform identity
+participates in every cache key.  The tasks are seedless: the trace spec
+carries the traffic seed and the config carries the routing seed, so every
+grid point serves the *same-seed* traffic (rate changes the inter-arrival
+scale, not the random stream) — which is what makes a latency-vs-load curve
+comparable across its points.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+import itertools
+from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from ..core.errors import ConfigError
 from ..platforms import Platform, PlatformLike, resolve_platform
 from ..schedules import Schedule
 from ..sweep import SweepSpec, register_task
-from ..workloads.configs import ModelConfig
-from .arrivals import (DEFAULT_OUTPUT_MAX, DEFAULT_OUTPUT_MEAN,
-                       DEFAULT_OUTPUT_SIGMA, DEFAULT_PROMPT_MAX,
-                       DEFAULT_PROMPT_MEAN, DEFAULT_PROMPT_QUANTUM,
-                       DEFAULT_PROMPT_SIGMA)
-from .fleet import AutoscalerConfig, FleetConfig, simulate_fleet
+from .arrivals import ArrivalTrace
+from .fleet import FleetConfig, configure, simulate_fleet
 from .generators import generate_trace
-from .policy import ServePolicy, policy_grid, resolve_serve_policy
 from .scheduler import ServeConfig, simulate_serving
-from .streaming import DEFAULT_SKETCH_ACCURACY, DEFAULT_WINDOW_CYCLES
 
-#: the per-point knobs the load-grid builders may forward beyond the grid axes
-#: (everything the ``"serve"`` task accepts besides its required parameters)
-_FORWARDABLE_KNOBS = frozenset({
-    "kv_tile_rows", "prompt_mean", "prompt_sigma", "prompt_max",
-    "prompt_quantum", "output_mean", "output_sigma", "output_max",
-    "kv_mode", "eviction_policy", "ttft_slo", "policy",
-    "generator", "report_mode", "window_cycles", "sketch_accuracy",
-    "engine", "cost_model", "calibration_budget",
-})
+
+def _build_trace(trace: Mapping[str, Any], arrival_rate: float) -> ArrivalTrace:
+    """The trace spec at ``arrival_rate`` (``generator`` defaults to Poisson)."""
+    knobs = dict(trace)
+    generator = knobs.pop("generator", "poisson")
+    return generate_trace(generator, rate=arrival_rate, **knobs)
 
 
 @register_task("serve")
-def serve_point(model: ModelConfig, schedule: Schedule,
-                arrival_rate: float, batch_cap: int, num_requests: int,
-                platform: Optional[Platform] = None, hardware=None,
-                seed: int = 0, num_layers: int = 2, kv_tile_rows: int = 64,
-                prompt_mean: float = DEFAULT_PROMPT_MEAN,
-                prompt_sigma: float = DEFAULT_PROMPT_SIGMA,
-                prompt_max: int = DEFAULT_PROMPT_MAX,
-                prompt_quantum: int = DEFAULT_PROMPT_QUANTUM,
-                output_mean: float = DEFAULT_OUTPUT_MEAN,
-                output_sigma: float = DEFAULT_OUTPUT_SIGMA,
-                output_max: int = DEFAULT_OUTPUT_MAX,
-                kv_mode: str = "paged",
-                eviction_policy: str = "evict-lru",
-                ttft_slo: Optional[float] = None,
-                policy: Optional[ServePolicy] = None,
-                generator: str = "poisson",
-                report_mode: str = "full",
-                window_cycles: float = DEFAULT_WINDOW_CYCLES,
-                sketch_accuracy: float = DEFAULT_SKETCH_ACCURACY,
-                engine: str = "exact",
-                cost_model=None,
-                calibration_budget: int = 64,
-                ) -> Dict[str, float]:
+def serve_point(config: ServeConfig, schedule: Optional[Schedule],
+                trace: Mapping[str, Any], arrival_rate: float,
+                platform: Optional[Platform] = None,
+                ttft_slo: Optional[float] = None) -> Dict[str, float]:
     """One serving design point: generate the trace, serve it, report metrics.
 
-    The trace is rebuilt from its parameters inside the worker (nothing large
-    crosses the pool boundary) — the signature accepts every
-    :func:`~repro.serve.arrivals.poisson_trace` length knob so the grid
-    builders can forward them all — and the returned payload carries the
+    ``trace`` is a trace spec — a registered generator name under
+    ``"generator"`` plus its keyword arguments (``num_requests``, ``seed``,
+    length knobs) — realized at ``arrival_rate``.  The payload carries the
     swept coordinates alongside the serving metrics so result rows are
-    self-describing.  ``hardware`` remains accepted for pre-platform specs.
-    ``kv_mode`` / ``eviction_policy`` matter only on platforms with a finite
-    ``hbm_capacity_bytes`` (see :mod:`repro.serve.memory`); a ``ttft_slo``
-    (cycles) adds the strict-goodput view — ``slo_attainment`` and
-    ``slo_goodput_rpmc`` — to the payload.  ``policy`` selects the scheduling
-    discipline (a :class:`~repro.serve.policy.ServePolicy`, preset name or
-    spec dict); it is a regular task parameter, so policy identity
-    participates in the sweep cache key like every other knob.  ``generator``
-    names the registered trace shape (:mod:`repro.serve.generators`) and
-    ``report_mode`` / ``window_cycles`` / ``sketch_accuracy`` select the
-    report representation (``"streaming"`` = O(1)-memory sketches, the mode
-    for very large ``num_requests``).  ``engine`` / ``cost_model`` /
-    ``calibration_budget`` select the costing tier (:mod:`repro.costmodel`;
-    pass fitted models as instances or ``to_dict()`` payloads so the model's
-    *content* — like every parameter here — is part of the cache key).
+    self-describing; a ``ttft_slo`` (cycles) adds the strict-goodput view —
+    ``slo_attainment`` and ``slo_goodput_rpmc``.
     """
-    trace = generate_trace(generator, rate=arrival_rate,
-                           num_requests=num_requests, seed=seed,
-                           prompt_mean=prompt_mean, prompt_sigma=prompt_sigma,
-                           prompt_max=prompt_max, prompt_quantum=prompt_quantum,
-                           output_mean=output_mean, output_sigma=output_sigma,
-                           output_max=output_max)
-    policy = resolve_serve_policy(policy)
-    config = ServeConfig(model=model, batch_cap=batch_cap, num_layers=num_layers,
-                         kv_tile_rows=kv_tile_rows, seed=seed, kv_mode=kv_mode,
-                         eviction_policy=eviction_policy, policy=policy,
-                         report_mode=report_mode, window_cycles=window_cycles,
-                         sketch_accuracy=sketch_accuracy, engine=engine,
-                         cost_model=cost_model,
-                         calibration_budget=calibration_budget)
-    report = simulate_serving(config, trace, schedule,
-                              hardware=hardware if hardware is not None else platform)
-    payload = {"arrival_rate": float(arrival_rate), "batch_cap": float(batch_cap),
-               "policy": policy.label, **report.metrics()}
+    report = simulate_serving(config, _build_trace(trace, arrival_rate),
+                              schedule, hardware=platform)
+    payload = {"arrival_rate": float(arrival_rate),
+               "batch_cap": float(config.batch_cap),
+               "policy": config.policy.label, **report.metrics()}
     if ttft_slo is not None:
         payload["slo_attainment"] = float(report.slo_attainment(ttft_slo))
         payload["slo_goodput_rpmc"] = float(report.slo_goodput(ttft_slo))
     return payload
 
 
-def _load_grid_base(model: ModelConfig, platform: PlatformLike, num_requests: int,
-                    seed: int, num_layers: int,
-                    trace_kwargs: Mapping[str, object]) -> Dict[str, object]:
-    unknown = set(trace_kwargs) - _FORWARDABLE_KNOBS
-    if unknown:
-        raise ConfigError(f"serving load grid: unsupported trace parameters "
-                          f"{sorted(unknown)}; forwardable: "
-                          f"{sorted(_FORWARDABLE_KNOBS)}")
-    return {"model": model, "platform": resolve_platform(platform),
-            "num_requests": num_requests, "seed": seed,
-            "num_layers": num_layers, **trace_kwargs}
-
-
-def latency_load_spec(model: ModelConfig, schedule: Schedule,
-                      rates: Sequence[float], batch_caps: Sequence[int] = (8,),
-                      num_requests: int = 32, seed: int = 0,
-                      hardware: PlatformLike = None,
-                      num_layers: int = 2, name: Optional[str] = None,
-                      **trace_kwargs) -> SweepSpec:
-    """An arrival-rate × batch-cap load grid as a cartesian :class:`SweepSpec`."""
-    base = _load_grid_base(model, hardware, num_requests, seed, num_layers,
-                           trace_kwargs)
-    base["schedule"] = schedule
-    return SweepSpec(
-        name=name or f"serve-load-{schedule.name}",
-        task="serve",
-        base=base,
-        axes={"arrival_rate": [float(r) for r in rates],
-              "batch_cap": [int(c) for c in batch_caps]},
-        mode="cartesian",
-        seed=seed,
-    )
-
-
 @register_task("fleet")
-def fleet_point(model: ModelConfig, schedule: Schedule,
-                arrival_rate: float, num_replicas: int, routing: str,
-                batch_cap: int, num_requests: int,
-                platform: Optional[Platform] = None, hardware=None,
-                seed: int = 0, num_layers: int = 2, kv_tile_rows: int = 64,
-                warmup_cycles: float = 0.0,
-                autoscaler: Optional[AutoscalerConfig] = None,
-                prompt_mean: float = DEFAULT_PROMPT_MEAN,
-                prompt_sigma: float = DEFAULT_PROMPT_SIGMA,
-                prompt_max: int = DEFAULT_PROMPT_MAX,
-                prompt_quantum: int = DEFAULT_PROMPT_QUANTUM,
-                output_mean: float = DEFAULT_OUTPUT_MEAN,
-                output_sigma: float = DEFAULT_OUTPUT_SIGMA,
-                output_max: int = DEFAULT_OUTPUT_MAX,
-                kv_mode: str = "paged",
-                eviction_policy: str = "evict-lru",
-                policy: Optional[ServePolicy] = None,
-                generator: str = "poisson",
-                report_mode: str = "full",
-                window_cycles: float = DEFAULT_WINDOW_CYCLES,
-                sketch_accuracy: float = DEFAULT_SKETCH_ACCURACY,
-                engine: str = "exact",
-                cost_model=None,
-                calibration_budget: int = 64,
-                ) -> Dict[str, float]:
-    """One fleet design point: generate the trace, serve it on N replicas.
-
-    Mirrors :func:`serve_point` with the fleet axes on top — the trace is
-    rebuilt inside the worker and the returned payload carries the swept
-    coordinates (rate, replica count, routing policy) alongside the
-    fleet metrics so result rows are self-describing.  ``policy`` is the
-    per-replica scheduling discipline, shared by every replica;
-    ``report_mode`` likewise rides the shared :class:`ServeConfig`, so a
-    streaming fleet keeps per-replica sketches and merges them at
-    aggregation time.
-    """
-    trace = generate_trace(generator, rate=arrival_rate,
-                           num_requests=num_requests, seed=seed,
-                           prompt_mean=prompt_mean, prompt_sigma=prompt_sigma,
-                           prompt_max=prompt_max, prompt_quantum=prompt_quantum,
-                           output_mean=output_mean, output_sigma=output_sigma,
-                           output_max=output_max)
-    policy = resolve_serve_policy(policy)
-    serve = ServeConfig(model=model, batch_cap=batch_cap, num_layers=num_layers,
-                        kv_tile_rows=kv_tile_rows, seed=seed, kv_mode=kv_mode,
-                        eviction_policy=eviction_policy, policy=policy,
-                        report_mode=report_mode, window_cycles=window_cycles,
-                        sketch_accuracy=sketch_accuracy, engine=engine,
-                        cost_model=cost_model,
-                        calibration_budget=calibration_budget)
-    config = FleetConfig(serve=serve, num_replicas=num_replicas, routing=routing,
-                         warmup_cycles=warmup_cycles, autoscaler=autoscaler)
-    report = simulate_fleet(config, trace, schedule,
-                            hardware=hardware if hardware is not None else platform)
+def fleet_point(config: FleetConfig, schedule: Optional[Schedule],
+                trace: Mapping[str, Any], arrival_rate: float,
+                platform: Optional[Platform] = None) -> Dict[str, float]:
+    """One fleet design point: :func:`serve_point` on ``config.num_replicas``
+    replicas, with the fleet coordinates (replica count, routing policy) in
+    the payload."""
+    report = simulate_fleet(config, _build_trace(trace, arrival_rate),
+                            schedule, hardware=platform)
     return {"arrival_rate": float(arrival_rate),
-            "num_replicas": float(num_replicas), "routing": routing,
-            "policy": policy.label, **report.metrics()}
+            "num_replicas": float(config.num_replicas),
+            "routing": config.routing, "policy": config.serve.policy.label,
+            **report.metrics()}
 
 
-def fleet_latency_spec(model: ModelConfig, schedule: Schedule,
-                       rates: Sequence[float],
-                       num_replicas: Sequence[int] = (1, 2, 4),
-                       routings: Sequence[str] = ("round-robin", "least-loaded",
-                                                  "least-kv"),
-                       batch_cap: int = 4, num_requests: int = 32, seed: int = 0,
-                       platform: PlatformLike = None, num_layers: int = 2,
-                       warmup_cycles: float = 0.0,
-                       autoscaler: Optional[AutoscalerConfig] = None,
-                       name: str = "fleet-latency",
-                       **trace_kwargs) -> SweepSpec:
-    """The fleet study as **one** cartesian spec over the ``"fleet"`` task.
+def load_grid(config: Union[ServeConfig, FleetConfig],
+              axes: Mapping[str, Sequence[Any]], *, trace: Mapping[str, Any],
+              schedule: Optional[Schedule] = None,
+              platform: PlatformLike = None, ttft_slo: Optional[float] = None,
+              name: str = "load-grid") -> SweepSpec:
+    """A serving load study as **one** sweep over the ``"serve"`` task (a
+    :class:`ServeConfig`) or the ``"fleet"`` task (a :class:`FleetConfig`).
 
-    Axes are (replicas, routing, arrival rate), replica-major, so the grid
-    row for replicas ``i``, routing ``j``, rate ``k`` sits at index
-    ``(i * len(routings) + j) * len(rates) + k``.  Every point serves the
-    *same-seed* traffic (the seed lives in ``base``), which is what makes the
-    latency-vs-replicas curves comparable across their points.
+    ``axes`` maps ``"arrival_rate"`` (required), ``"schedule"``,
+    ``"platform"`` or any :func:`~repro.serve.fleet.knob_names` of ``config``
+    to its values.  Points are the cartesian product in ``axes`` order, the
+    first axis major, so with axes ``(a, b, c)`` the row for ``a[i]``,
+    ``b[j]``, ``c[k]`` sits at ``(i * len(b) + j) * len(c) + k``.  Unswept
+    ``schedule`` / ``platform`` come from the keywords, and ``trace`` is the
+    trace spec every point realizes at its own rate.  A ``ttft_slo`` (cycles)
+    adds the SLO metrics to single-server grids.
     """
-    if not rates:
-        raise ConfigError("fleet_latency_spec: at least one arrival rate is required")
-    base = _load_grid_base(model, platform, num_requests, seed, num_layers,
-                           trace_kwargs)
-    base.update({"schedule": schedule, "batch_cap": batch_cap,
-                 "warmup_cycles": warmup_cycles, "autoscaler": autoscaler})
-    return SweepSpec(
-        name=name,
-        task="fleet",
-        base=base,
-        axes={"num_replicas": [int(n) for n in num_replicas],
-              "routing": list(routings),
-              "arrival_rate": [float(r) for r in rates]},
-        mode="cartesian",
-        seed=seed,
-    )
-
-
-def memory_pressure_spec(model: ModelConfig, schedule: Schedule,
-                         rates: Sequence[float],
-                         platforms: Sequence[PlatformLike],
-                         batch_cap: int = 4, num_requests: int = 32,
-                         seed: int = 0, num_layers: int = 2,
-                         name: str = "memory-pressure",
-                         **trace_kwargs) -> SweepSpec:
-    """Offered load × HBM capacity as **one** cartesian spec.
-
-    Axes are (platform, arrival rate), platform-major, so the grid row for
-    platform ``i``, rate ``j`` sits at index ``i * len(rates) + j``.  The
-    platforms differ only in ``hbm_capacity_bytes`` in the intended use
-    (:func:`repro.platforms.platform_grid` with ``hbm_capacities=...``), so
-    the curves isolate pure capacity effects: an unbounded platform's goodput
-    plateaus past saturation while a capacity-bounded one *declines* —
-    admission stalls, preemptions and recompute eat the makespan (the goodput
-    cliff the ``memory-pressure`` experiment pins).  ``kv_mode`` /
-    ``eviction_policy`` forward through ``trace_kwargs``-style knobs.
-    """
-    if not rates:
-        raise ConfigError("memory_pressure_spec: at least one arrival rate "
-                          "is required")
-    if not platforms:
-        raise ConfigError("memory_pressure_spec: at least one platform "
-                          "is required")
-    base = _load_grid_base(model, None, num_requests, seed, num_layers,
-                           trace_kwargs)
-    del base["platform"]  # the platform is a swept axis here, not a base knob
-    base.update({"schedule": schedule, "batch_cap": batch_cap})
-    return SweepSpec(
-        name=name,
-        task="serve",
-        base=base,
-        axes={"platform": [resolve_platform(p) for p in platforms],
-              "arrival_rate": [float(r) for r in rates]},
-        mode="cartesian",
-        seed=seed,
-    )
-
-
-def policy_shootout_spec(model: ModelConfig, schedule: Schedule,
-                         rates: Sequence[float],
-                         policies: Sequence[object] = (),
-                         platforms: Sequence[PlatformLike] = (None,),
-                         ttft_slo: float = 50_000.0,
-                         batch_cap: int = 4, num_requests: int = 32,
-                         seed: int = 0, num_layers: int = 2,
-                         name: str = "policy-shootout",
-                         **trace_kwargs) -> SweepSpec:
-    """Scheduling policies × platforms × offered load as **one** cartesian spec.
-
-    Axes are (policy, platform, arrival rate), policy-major, so the grid row
-    for policy ``i``, platform ``j``, rate ``k`` sits at index
-    ``(i * len(platforms) + j) * len(rates) + k``.  ``policies`` accepts
-    anything :func:`~repro.serve.policy.policy_grid` does — preset names,
-    :class:`~repro.serve.policy.ServePolicy` specs, or empty for every
-    registered preset — and each policy is a regular axis value, so policy
-    identity lands in every point's cache key.  Every point serves the
-    *same-seed* traffic and reports ``slo_attainment`` /
-    ``slo_goodput_rpmc`` against the shared ``ttft_slo`` (cycles), which is
-    what makes tail-TTFT SLO attainment comparable across policies.
-    """
-    if not rates:
-        raise ConfigError("policy_shootout_spec: at least one arrival rate "
-                          "is required")
-    if not platforms:
-        raise ConfigError("policy_shootout_spec: at least one platform "
-                          "is required")
-    grid = policy_grid(*policies)
-    base = _load_grid_base(model, None, num_requests, seed, num_layers,
-                           trace_kwargs)
-    del base["platform"]  # the platform is a swept axis here, not a base knob
-    base.update({"schedule": schedule, "batch_cap": batch_cap,
-                 "ttft_slo": float(ttft_slo)})
-    return SweepSpec(
-        name=name,
-        task="serve",
-        base=base,
-        axes={"policy": list(grid.values()),
-              "platform": [resolve_platform(p) for p in platforms],
-              "arrival_rate": [float(r) for r in rates]},
-        mode="cartesian",
-        seed=seed,
-    )
-
-
-def capacity_spec(model: ModelConfig, schedule: Schedule,
-                  rates: Sequence[float],
-                  platforms: Sequence[PlatformLike],
-                  ttft_slo: float = 150_000.0,
-                  generator: str = "heavy-tail",
-                  batch_cap: int = 4, num_requests: int = 32,
-                  seed: int = 0, num_layers: int = 2,
-                  report_mode: str = "full",
-                  name: str = "capacity",
-                  **trace_kwargs) -> SweepSpec:
-    """Platforms × offered load under a production-shaped generator.
-
-    Axes are (platform, arrival rate), platform-major, so the grid row for
-    platform ``i``, rate ``j`` sits at index ``i * len(rates) + j`` — the
-    record behind the ``capacity`` experiment, which walks each platform's
-    rate curve for the highest rate whose ``slo_attainment`` still clears the
-    target.  ``generator`` names any registered trace shape
-    (:mod:`repro.serve.generators`); every point serves the *same-seed*
-    traffic and reports against the shared ``ttft_slo``.
-    """
-    if not rates:
-        raise ConfigError("capacity_spec: at least one arrival rate is required")
-    if not platforms:
-        raise ConfigError("capacity_spec: at least one platform is required")
-    base = _load_grid_base(model, None, num_requests, seed, num_layers,
-                           trace_kwargs)
-    del base["platform"]  # the platform is a swept axis here, not a base knob
-    base.update({"schedule": schedule, "batch_cap": batch_cap,
-                 "ttft_slo": float(ttft_slo), "generator": generator,
-                 "report_mode": report_mode})
-    return SweepSpec(
-        name=name,
-        task="serve",
-        base=base,
-        axes={"platform": [resolve_platform(p) for p in platforms],
-              "arrival_rate": [float(r) for r in rates]},
-        mode="cartesian",
-        seed=seed,
-    )
-
-
-def serve_latency_spec(model: ModelConfig, schedules: Mapping[str, Schedule],
-                       rates: Sequence[float], batch_caps: Sequence[int] = (8,),
-                       num_requests: int = 32, seed: int = 0,
-                       platform: PlatformLike = None, num_layers: int = 2,
-                       name: str = "serve-latency",
-                       **trace_kwargs) -> SweepSpec:
-    """The whole latency-vs-load study as **one** cartesian spec.
-
-    Axes are (schedule, arrival rate, batch cap), schedule-major, so the grid
-    row for schedule ``i``, rate ``j``, cap ``k`` sits at index
-    ``(i * len(rates) + j) * len(batch_caps) + k``.  Every point is identical
-    to the matching :func:`latency_load_spec` point (same task, same
-    parameters — the spec name is excluded from cache keys), so the folded
-    record shares cache entries with per-schedule grids.
-    """
-    if not schedules:
-        raise ConfigError("serve_latency_spec: at least one schedule is required")
-    base = _load_grid_base(model, platform, num_requests, seed, num_layers,
-                           trace_kwargs)
-    return SweepSpec(
-        name=name,
-        task="serve",
-        base=base,
-        axes={"schedule": list(schedules.values()),
-              "arrival_rate": [float(r) for r in rates],
-              "batch_cap": [int(c) for c in batch_caps]},
-        mode="cartesian",
-        seed=seed,
-    )
+    fleet = isinstance(config, FleetConfig)
+    if not len(axes.get("arrival_rate", ())):
+        raise ConfigError(f"{name}: at least one arrival rate is required")
+    empty = [axis for axis, values in axes.items() if not len(values)]
+    if empty:
+        raise ConfigError(f"{name}: axes {empty} need at least one value")
+    if fleet and ttft_slo is not None:
+        raise ConfigError(f"{name}: ttft_slo applies to single-server grids")
+    points: Dict[str, list] = {"config": [], "schedule": [], "platform": [],
+                               "arrival_rate": []}
+    for combo in itertools.product(*axes.values()):
+        knobs = dict(zip(axes, combo))
+        points["arrival_rate"].append(float(knobs.pop("arrival_rate")))
+        points["schedule"].append(knobs.pop("schedule", schedule))
+        points["platform"].append(resolve_platform(knobs.pop("platform",
+                                                             platform)))
+        points["config"].append(configure(config, **knobs))
+    base: Dict[str, Any] = {"trace": dict(trace)}
+    if ttft_slo is not None:
+        base["ttft_slo"] = float(ttft_slo)
+    return SweepSpec(name=name, task="fleet" if fleet else "serve", base=base,
+                     axes=points, mode="zip")

@@ -10,8 +10,9 @@ Two adapters connect the serving simulator to the unified scenario API:
   layer count).  The scheduler maps every step it issues onto one of these,
   so serving rides the same builders, unified schedules and simulator as the
   closed-loop experiments.
-* :class:`ServeWorkload` — a **whole serving run**: an arrival trace plus a
-  batch cap; ``run`` executes the open-loop simulation
+* :class:`ServeWorkload` — a **whole serving run**: a
+  :class:`~repro.serve.scheduler.ServeConfig` plus an arrival trace; ``run``
+  executes the open-loop simulation
   (:func:`repro.serve.scheduler.simulate_serving`) under the given schedule
   and reports the flat :meth:`~repro.serve.report.ServingReport.metrics`.
   Because it is a registered workload, serving runs drop into scenarios,
@@ -25,7 +26,7 @@ pool and canonicalizable for content-hash caching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, ClassVar, Dict, Optional, Tuple
 
 from ..api.workload import BuiltWorkload, WorkloadBase, register_workload
 from ..core.errors import ConfigError
@@ -39,7 +40,10 @@ from ..workloads.configs import ModelConfig
 from ..workloads.moe import MoELayerConfig, build_moe_layer
 from ..workloads.qkv import QKVConfig, build_qkv_layer
 from .arrivals import ArrivalTrace
-from .policy import ServePolicy, resolve_serve_policy
+from .policy import DEFAULT_POLICY
+
+if TYPE_CHECKING:  # the scheduler imports this module
+    from .scheduler import ServeConfig
 
 
 @register_workload
@@ -134,7 +138,7 @@ class ServeStepWorkload(WorkloadBase):
 @register_workload
 @dataclass
 class ServeWorkload(WorkloadBase):
-    """A whole open-loop serving run over an arrival trace.
+    """A whole open-loop serving run: ``config`` serving ``trace``.
 
     ``run`` executes the continuous-batching scheduler against ``trace`` under
     the given unified schedule and returns the flat serving metrics (TTFT /
@@ -147,36 +151,8 @@ class ServeWorkload(WorkloadBase):
 
     kind: ClassVar[str] = "serve"
 
-    model: ModelConfig
+    config: ServeConfig
     trace: ArrivalTrace
-    batch_cap: int = 8
-    num_layers: int = 2
-    kv_tile_rows: int = 64
-    moe_compute_bw: int = 8192
-    attention_compute_bw: int = 256
-    seed: int = 0
-    #: KV allocation discipline on capacity-bounded platforms
-    kv_mode: str = "paged"
-    #: preemption victim choice under memory pressure
-    eviction_policy: str = "evict-lru"
-    #: the scheduling discipline (admission × batching × priority);
-    #: None = the default policy, the historical scheduler exactly
-    policy: Optional[ServePolicy] = None
-    #: ``"full"`` keeps every record/step; ``"streaming"`` reports through
-    #: O(1)-memory sketches (:mod:`repro.serve.streaming`)
-    report_mode: str = "full"
-    #: streaming timeline window width, in cycles
-    window_cycles: float = 100_000.0
-    #: streaming percentile sketch relative-error bound
-    sketch_accuracy: float = 0.01
-    #: step-costing tier: ``"exact"`` simulates every step,
-    #: ``"surrogate"`` predicts from a cost model
-    engine: str = "exact"
-    #: surrogate cost model (kind name, payload dict or CostModel);
-    #: None under ``engine="surrogate"`` = adaptive ``"calibrated"``
-    cost_model: Optional[object] = None
-    #: distinct signatures probed exactly before the adaptive fit
-    calibration_budget: int = 64
 
     def build(self, schedule: Schedule,
               hardware: Optional[HardwareConfig] = None) -> BuiltWorkload:
@@ -186,29 +162,16 @@ class ServeWorkload(WorkloadBase):
     def report(self, schedule: Schedule,
                hardware: Optional[HardwareConfig] = None):
         """The full :class:`~repro.serve.report.ServingReport` of this run."""
-        from .scheduler import ServeConfig, simulate_serving
+        from .scheduler import simulate_serving
 
-        config = ServeConfig(model=self.model, batch_cap=self.batch_cap,
-                             num_layers=self.num_layers,
-                             kv_tile_rows=self.kv_tile_rows,
-                             moe_compute_bw=self.moe_compute_bw,
-                             attention_compute_bw=self.attention_compute_bw,
-                             seed=self.seed, kv_mode=self.kv_mode,
-                             eviction_policy=self.eviction_policy,
-                             policy=resolve_serve_policy(self.policy),
-                             report_mode=self.report_mode,
-                             window_cycles=self.window_cycles,
-                             sketch_accuracy=self.sketch_accuracy,
-                             engine=self.engine, cost_model=self.cost_model,
-                             calibration_budget=self.calibration_budget)
-        return simulate_serving(config, self.trace, schedule, hardware=hardware)
+        return simulate_serving(self.config, self.trace, schedule,
+                                hardware=hardware)
 
     def run(self, schedule: Schedule,
             hardware: Optional[HardwareConfig] = None) -> Dict[str, float]:
         return self.report(schedule, hardware).metrics()
 
     def label(self) -> str:
-        base = f"serve:{self.trace.name}:cap{self.batch_cap}"
-        if self.policy is None:
-            return base
-        return f"{base}:{self.policy.label}"
+        base = f"serve:{self.trace.name}:cap{self.config.batch_cap}"
+        policy = self.config.policy
+        return base if policy == DEFAULT_POLICY else f"{base}:{policy.label}"

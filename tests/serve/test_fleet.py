@@ -1,14 +1,16 @@
 """Fleet-scale serving: dispatch, routing, warm-up, autoscaling, determinism."""
 
+import json
 from dataclasses import replace
 
 import pytest
 
+from repro.api import run_experiment, serve_fleet
 from repro.core.errors import ConfigError
 from repro.schedules import Schedule
 from repro.serve import (AutoscalerConfig, FleetConfig, FleetReport,
                          FleetWorkload, ServeConfig, burst_trace,
-                         fleet_latency_spec, get_routing_policy, poisson_trace,
+                         get_routing_policy, load_grid, poisson_trace,
                          routing_policy_names, simulate_fleet,
                          simulate_serving, trace_from_lists)
 from repro.serve.arrivals import ArrivalTrace
@@ -210,11 +212,13 @@ class TestDeterminism:
 
     def test_pooled_sweep_matches_in_process_run(self, model):
         """The fleet task is deterministic under the multiprocessing runner."""
-        spec = fleet_latency_spec(
-            model, Schedule.dynamic(), rates=(200.0, 800.0),
-            num_replicas=(1, 2), routings=("round-robin",),
-            batch_cap=2, num_requests=6, num_layers=1, seed=3,
-            prompt_mean=24.0, prompt_max=64, output_mean=3.0, output_max=8)
+        spec = load_grid(
+            FleetConfig(serve=serve_config(model)),
+            {"num_replicas": (1, 2), "routing": ("round-robin",),
+             "arrival_rate": (200.0, 800.0)},
+            trace=dict(num_requests=6, seed=3, prompt_mean=24.0,
+                       prompt_max=64, output_mean=3.0, output_max=8),
+            schedule=Schedule.dynamic())
         pooled = SweepRunner(jobs=2).metrics(spec)
         local = SweepRunner(jobs=1).metrics(spec)
         assert pooled == local
@@ -244,16 +248,23 @@ class TestFleetReportRoundTrip:
         assert restored.to_dict() == fleet.to_dict()
         assert restored.metrics() == fleet.metrics()
 
+    def test_facade_report_round_trips_through_json(self, model, busy_trace):
+        fleet = serve_fleet(model, busy_trace, num_replicas=2,
+                            routing="least-loaded", batch_cap=2, num_layers=1)
+        restored = FleetReport.from_dict(json.loads(json.dumps(fleet.to_dict())))
+        assert restored.to_dict() == fleet.to_dict()
+        assert restored.metrics() == fleet.metrics()
+
 
 class TestFleetWorkload:
     def workload(self, model, **overrides):
         trace = poisson_trace(rate=400.0, num_requests=6, seed=3,
                               prompt_mean=24.0, prompt_max=64,
                               output_mean=3.0, output_max=8)
-        defaults = dict(model=model, trace=trace, num_replicas=2,
-                        batch_cap=2, num_layers=1, seed=3)
+        defaults = dict(num_replicas=2)
         defaults.update(overrides)
-        return FleetWorkload(**defaults)
+        return FleetWorkload(FleetConfig(serve=serve_config(model),
+                                         **defaults), trace)
 
     def test_run_reports_fleet_metrics(self, model):
         metrics = self.workload(model).run(Schedule.dynamic())
@@ -275,18 +286,31 @@ class TestFleetWorkload:
 
 
 class TestFleetSpec:
+    def test_experiment_overrides_shape_the_grid(self):
+        result = run_experiment("fleet-latency", scale="smoke",
+                                rates=(160.0, 640.0), num_replicas=(1, 2),
+                                routings=("round-robin",), num_requests=6)
+        assert len(result.rows) == 4
+        assert all(row["ttft_p50"] > 0 for row in result.rows)
+        assert [(row["num_replicas"], row["arrival_rate"])
+                for row in result.rows] == [(1.0, 160.0), (1.0, 640.0),
+                                            (2.0, 160.0), (2.0, 640.0)]
+
     def test_empty_rates_rejected(self, model):
         with pytest.raises(ConfigError, match="arrival rate"):
-            fleet_latency_spec(model, Schedule.dynamic(), rates=())
+            load_grid(FleetConfig(serve=serve_config(model)),
+                      {"arrival_rate": ()}, trace={})
 
     def test_grid_is_replica_major(self, model):
-        spec = fleet_latency_spec(model, Schedule.dynamic(),
-                                  rates=(100.0, 200.0), num_replicas=(1, 2),
-                                  routings=("round-robin", "least-kv"))
+        spec = load_grid(FleetConfig(serve=serve_config(model)),
+                         {"num_replicas": (1, 2),
+                          "routing": ("round-robin", "least-kv"),
+                          "arrival_rate": (100.0, 200.0)},
+                         trace={"num_requests": 4})
         points = [p.kwargs() for p in spec.points()]
         assert len(points) == 8
-        assert [p["num_replicas"] for p in points] == [1] * 4 + [2] * 4
-        assert [p["routing"] for p in points[:4]] == \
+        assert [p["config"].num_replicas for p in points] == [1] * 4 + [2] * 4
+        assert [p["config"].routing for p in points[:4]] == \
             ["round-robin", "round-robin", "least-kv", "least-kv"]
         assert [p["arrival_rate"] for p in points[:2]] == [100.0, 200.0]
 

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.api import serve
 from repro.core.errors import ConfigError
 from repro.platforms import get_platform
 from repro.schedules import Schedule
@@ -257,6 +258,18 @@ class TestEnginePreemption:
         assert max(s.kv_pages for s in report.steps) == report.memory.peak_pages
         assert sum(s.preemptions for s in report.steps) == \
             report.memory.preemptions
+
+
+class TestFacadeOnBoundedPlatform:
+    def test_serve_threads_the_platform_into_memory_stats(self, model,
+                                                          pressure_trace):
+        report = serve(model, pressure_trace, platform=tiny_platform(model, 6),
+                       batch_cap=4, num_layers=1, kv_tile_rows=16, seed=3)
+        assert report.memory is not None and report.memory.capacity_pages == 6
+        assert report.metrics()["kv_occupancy_max"] > 0
+        restored = ServingReport.from_dict(json.loads(json.dumps(report.to_dict())))
+        assert restored.to_dict() == report.to_dict()
+        assert restored.memory == report.memory
 
 
 class TestUnboundedPathUnchanged:

@@ -217,8 +217,14 @@ class TestSerialization:
                              policy=ServePolicy(batching="chunked-prefill"))
         assert config.policy.batching == "chunked-prefill"
         assert ServeConfig(model=serve_model()).policy is DEFAULT_POLICY
-        with pytest.raises(ConfigError, match="resolve_serve_policy"):
-            ServeConfig(model=serve_model(), policy="chunked-prefill")
+        # names and spec dicts resolve on construction, like resolve_serve_policy
+        assert ServeConfig(model=serve_model(), policy="chunked-prefill"
+                           ).policy == get_serve_policy("chunked-prefill")
+        assert ServeConfig(model=serve_model(),
+                           policy={"batching": "chunked-prefill"}
+                           ).policy.batching == "chunked-prefill"
+        with pytest.raises(ConfigError, match="registered"):
+            ServeConfig(model=serve_model(), policy="never-registered")
 
     def test_duplicate_registrations_rejected(self):
         with pytest.raises(ConfigError, match="already registered"):
@@ -325,15 +331,29 @@ class TestPolicyBehavior:
         assert rebuilt.policy["admission"] == "priority-class"
 
 
+class TestPoliciesAxis:
+    def test_pooled_two_policy_scenario_separates_its_cells(self):
+        from repro.api import get_scenario, run
+
+        scenario = get_scenario("serve-policies", num_requests=6,
+                                policies=("default", "chunked-prefill"))
+        result = run(scenario, jobs=2)
+        by_policy = {row.policy: row["cycles"] for row in result.rows}
+        assert set(by_policy) == {"default", "chunked-prefill"}
+        assert by_policy["default"] != by_policy["chunked-prefill"]
+        assert result.stats.simulated == len(result.rows) == 2
+
+
 class TestServeWorkloadPolicy:
     def test_workload_threads_policy_and_labels(self):
         model = serve_model()
         trace = poisson_trace(rate=300.0, num_requests=6, seed=0,
                               prompt_mean=48.0, prompt_max=192,
                               output_mean=6.0, output_max=24)
-        default = ServeWorkload(model=model, trace=trace, batch_cap=2)
-        chunked = ServeWorkload(model=model, trace=trace, batch_cap=2,
-                                policy=ServePolicy(batching="chunked-prefill"))
+        default = ServeWorkload(ServeConfig(model=model, batch_cap=2), trace)
+        chunked = ServeWorkload(
+            ServeConfig(model=model, batch_cap=2,
+                        policy=ServePolicy(batching="chunked-prefill")), trace)
         assert default.label() == f"serve:{trace.name}:cap2"
         assert chunked.label() == f"serve:{trace.name}:cap2:chunked-prefill"
         base = default.run(Schedule.dynamic())
@@ -344,11 +364,11 @@ class TestServeWorkloadPolicy:
         from repro.sweep.cache import canonicalize, stable_hash
         model = serve_model()
         trace = poisson_trace(rate=300.0, num_requests=4, seed=0)
-        a = ServeWorkload(model=model, trace=trace)
-        b = ServeWorkload(model=model, trace=trace,
-                          policy=ServePolicy(batching="chunked-prefill"))
-        c = ServeWorkload(model=model, trace=trace,
-                          policy=ServePolicy(batching="chunked-prefill",
-                                             prefill_chunk=16))
+        a = ServeWorkload(ServeConfig(model=model), trace)
+        b = ServeWorkload(ServeConfig(
+            model=model, policy=ServePolicy(batching="chunked-prefill")), trace)
+        c = ServeWorkload(ServeConfig(
+            model=model, policy=ServePolicy(batching="chunked-prefill",
+                                            prefill_chunk=16)), trace)
         keys = {stable_hash(canonicalize(w)) for w in (a, b, c)}
         assert len(keys) == 3

@@ -7,7 +7,7 @@ import pytest
 import repro.api as api
 from repro.api.workload import workload_from_params
 from repro.schedules import Schedule
-from repro.serve import (ServeWorkload, ServingReport, latency_load_spec,
+from repro.serve import (ServeConfig, ServeWorkload, ServingReport, load_grid,
                          poisson_trace)
 from repro.sweep import ResultCache, SweepRunner, canonicalize
 from repro.workloads.configs import QWEN3_30B_A3B, scaled_config
@@ -46,21 +46,22 @@ class TestServeFacade:
 
 class TestServeWorkloadAdapter:
     def test_params_reconstruct_the_workload(self, model, tiny_trace):
-        workload = ServeWorkload(model=model, trace=tiny_trace, batch_cap=2,
-                                 num_layers=1)
+        workload = ServeWorkload(ServeConfig(model=model, batch_cap=2,
+                                             num_layers=1), tiny_trace)
         rebuilt = workload_from_params(workload.kind, workload.params())
         assert rebuilt == workload
 
     def test_workload_canonicalizes_for_cache_hashing(self, model, tiny_trace):
-        workload = ServeWorkload(model=model, trace=tiny_trace, batch_cap=2)
+        workload = ServeWorkload(ServeConfig(model=model, batch_cap=2),
+                                 tiny_trace)
         payload = canonicalize(workload)
         assert payload["__dataclass__"].endswith("ServeWorkload")
 
     def test_build_is_rejected_run_returns_flat_metrics(self, model, tiny_trace):
         from repro.core.errors import ConfigError
 
-        workload = ServeWorkload(model=model, trace=tiny_trace, batch_cap=2,
-                                 num_layers=1)
+        workload = ServeWorkload(ServeConfig(model=model, batch_cap=2,
+                                             num_layers=1), tiny_trace)
         with pytest.raises(ConfigError, match="no single Program"):
             workload.build(Schedule.dynamic())
         metrics = workload.run(Schedule.dynamic())
@@ -72,8 +73,8 @@ class TestScenarioExecution:
     def test_scenario_runs_and_caches(self, model, tiny_trace, tmp_path):
         scenario = api.Scenario(
             name="serve-test",
-            workloads=ServeWorkload(model=model, trace=tiny_trace, batch_cap=2,
-                                    num_layers=1),
+            workloads=ServeWorkload(ServeConfig(model=model, batch_cap=2,
+                                                num_layers=1), tiny_trace),
             schedules={"dynamic": Schedule.dynamic(),
                        "static": Schedule.static("static", tile_rows=4)})
         cache = ResultCache(tmp_path / "cache")
@@ -88,12 +89,17 @@ class TestScenarioExecution:
         assert cell["goodput_rpmc"] > 0
 
 
+#: the short request profile the load-grid tests serve
+TINY_TRACE = dict(prompt_mean=32.0, prompt_max=64, output_mean=3.0,
+                  output_max=4)
+
+
 class TestLatencyLoadSpec:
     def test_grid_shape_and_coordinates(self, model):
-        spec = latency_load_spec(model, Schedule.dynamic(), rates=(50.0, 400.0),
-                                 batch_caps=(1, 2), num_requests=3, seed=0,
-                                 num_layers=1, prompt_mean=32.0, prompt_max=64,
-                                 output_mean=3.0, output_max=4)
+        spec = load_grid(ServeConfig(model=model, num_layers=1),
+                         {"arrival_rate": (50.0, 400.0), "batch_cap": (1, 2)},
+                         trace=dict(num_requests=3, seed=0, **TINY_TRACE),
+                         schedule=Schedule.dynamic())
         assert len(spec) == 4
         assert spec.task == "serve"
         metrics = SweepRunner(jobs=1).metrics(spec)
@@ -101,20 +107,17 @@ class TestLatencyLoadSpec:
         assert coords == {(50.0, 1.0), (50.0, 2.0), (400.0, 1.0), (400.0, 2.0)}
 
     def test_rerun_is_deterministic(self, model):
-        spec = latency_load_spec(model, Schedule.dynamic(), rates=(200.0,),
-                                 batch_caps=(2,), num_requests=3, seed=1,
-                                 num_layers=1, prompt_mean=32.0, prompt_max=64,
-                                 output_mean=3.0, output_max=4)
+        spec = load_grid(ServeConfig(model=model, num_layers=1, seed=1),
+                         {"arrival_rate": (200.0,), "batch_cap": (2,)},
+                         trace=dict(num_requests=3, seed=1, **TINY_TRACE))
         first = SweepRunner(jobs=1).metrics(spec)
         second = SweepRunner(jobs=1).metrics(spec)
         assert first == second
 
     def test_load_increases_tail_latency(self, model):
-        spec = latency_load_spec(model, Schedule.dynamic(),
-                                 rates=(20.0, 2000.0), batch_caps=(1,),
-                                 num_requests=6, seed=0, num_layers=1,
-                                 prompt_mean=32.0, prompt_max=64,
-                                 output_mean=3.0, output_max=4)
+        spec = load_grid(ServeConfig(model=model, batch_cap=1, num_layers=1),
+                         {"arrival_rate": (20.0, 2000.0)},
+                         trace=dict(num_requests=6, seed=0, **TINY_TRACE))
         light, heavy = SweepRunner(jobs=1).metrics(spec)
         assert heavy["e2e_p95"] > light["e2e_p95"]
         assert heavy["queue_queued_mean"] >= light["queue_queued_mean"]

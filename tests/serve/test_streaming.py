@@ -347,6 +347,11 @@ class TestStreamingServeEquivalence:
         assert clone.ttft() == streaming.ttft()
         assert clone.queue_depth() == streaming.queue_depth()
 
+    def test_streaming_report_round_trips_through_json(self, paired_reports):
+        _, streaming = paired_reports
+        payload = json.loads(json.dumps(streaming.to_dict()))
+        assert ServingReport.from_dict(payload).to_dict() == streaming.to_dict()
+
     def test_full_mode_payload_has_no_streaming_key(self, paired_reports):
         full, streaming = paired_reports
         assert "streaming" not in full.to_dict()
