@@ -74,7 +74,7 @@ from .memory import (EVICTION_POLICIES, KV_MODES, EvictionPolicy, KVPagePool,
                      MemoryStats, eviction_policy_names, get_eviction_policy,
                      kv_bytes_per_row, register_eviction_policy)
 from .scheduler import (ReplicaEngine, ServeConfig, StepMemo, clear_step_cache,
-                        simulate_serving, step_cache_stats)
+                        simulate_serving, step_cache_stats, term_cache_stats)
 from .fleet import (AutoscalerConfig, FleetConfig, FleetWorkload, RoutingPolicy,
                     configure, get_routing_policy, register_routing_policy,
                     routing_policy_names, simulate_fleet)
@@ -167,6 +167,7 @@ __all__ = [
     "simulate_serving",
     "clear_step_cache",
     "step_cache_stats",
+    "term_cache_stats",
     # fleet
     "AutoscalerConfig",
     "FleetConfig",

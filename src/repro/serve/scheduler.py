@@ -31,19 +31,28 @@ policy (each request's class at submit time) from the registries in
 hard-coded scheduler bit-identically (pinned in tier-1): FIFO admission,
 Orca-continuous batching, trace-assigned priorities.
 
-Step costs are memoized on a *step signature*: the token-batch size plus the
-multiset of per-request KV lengths, quantized up to ``kv_tile_rows`` (the
-granularity at which the simulator tiles KV anyway).  Decode steps change
-signature only every ``kv_tile_rows`` generated tokens, so a serving run
-simulates a handful of distinct steps while replaying hundreds — and the
+Step costs are memoized in two layers.  The outer memo is keyed on a *step
+signature*: the token-batch size plus the multiset of per-request KV lengths,
+quantized up to ``kv_tile_rows`` (the granularity at which the simulator
+tiles KV anyway).  Decode steps change signature only every ``kv_tile_rows``
+generated tokens, so a serving run simulates a handful of distinct steps
+while replaying hundreds.  Behind it, each of a step's three sub-layer terms
+is memoized on the one input it depends on, as the paper splits a decoder
+step: QKV and the MoE block on the token count (whose routing seed derives
+from it), attention on the KV lengths.  A signature miss therefore builds
+and simulates only the terms no earlier step shared — signatures far
+outnumber distinct token counts or KV tuples — and composes the step's
+cycles from the three terms exactly as an uncached step would.  The
 memoization is invisible in the results: the report is a pure function of
-``(config, trace, schedule, hardware)``, bit-identical across runs.  The memo
-is **bounded** (:class:`StepMemo`): fleet sweeps over replicas × rates ×
-policies touch many distinct contexts, so the process-wide cache caps its
+``(config, trace, schedule, hardware)``, bit-identical across runs.  Every
+memo is **bounded** (:class:`StepMemo`): fleet sweeps over replicas × rates ×
+policies touch many distinct contexts, so each process-wide memo caps its
 entry count and evicts least-recently-used entries deterministically;
-:func:`step_cache_stats` exposes hit/miss/eviction counters for debugging
-(and every :meth:`~repro.serve.report.ServingReport.to_dict` snapshots them
-under ``"step_cache"``, so memoization efficacy is observable in sweeps).
+:func:`step_cache_stats` and :func:`term_cache_stats` expose
+hit/miss/eviction counters for debugging (and every
+:meth:`~repro.serve.report.ServingReport.to_dict` snapshots the outer ones
+under ``"step_cache"``, so memoization efficacy is observable in sweeps);
+:func:`clear_step_cache` empties both layers.
 
 **Two-tier costing.**  ``ServeConfig(engine="surrogate", cost_model=...)``
 swaps the per-step simulation for a cost model from :mod:`repro.costmodel`
@@ -86,7 +95,8 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple
 
 from ..core.errors import ConfigError
 from ..platforms import PlatformLike, resolve_platform
@@ -105,21 +115,22 @@ from .report import RequestRecord, ServingReport, StepSample
 from .streaming import (DEFAULT_SKETCH_ACCURACY, DEFAULT_WINDOW_CYCLES,
                         StreamingStats, make_streaming_stats,
                         resolve_report_mode)
-from .workload import ServeStepWorkload
+from .workload import STEP_TERMS, ServeStepWorkload, TermCost
 
 #: how a step's latency is produced: ``"exact"`` simulates every distinct
 #: step through the event engine (the historical path), ``"surrogate"``
 #: costs steps through the resolved ``cost_model`` (:mod:`repro.costmodel`)
 ENGINE_MODES = ("exact", "surrogate")
 
-#: entry cap of the process-wide step-cost memo.  Each entry is one simulated
-#: step cost (a float keyed by context + signature); the cap bounds a fleet
-#: sweep's footprint while staying far above what any single run touches.
+#: entry cap of each process-wide step-cost memo.  Each entry is one simulated
+#: cost (a float or a :class:`~repro.serve.workload.TermCost` of plain numbers,
+#: keyed by context + step input); the cap bounds a fleet sweep's footprint
+#: while staying far above what any single run touches.
 STEP_MEMO_MAXSIZE = 8192
 
 
 class StepMemo:
-    """A bounded step-cost memo with deterministic LRU eviction.
+    """A bounded cost memo with deterministic LRU eviction.
 
     ``get``/``put`` maintain least-recently-used order, so the eviction
     sequence is a pure function of the access sequence — two processes
@@ -132,7 +143,7 @@ class StepMemo:
         if maxsize < 1:
             raise ConfigError(f"StepMemo maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self._entries: "OrderedDict[Tuple[str, Tuple], float]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[str, Hashable], Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -140,7 +151,7 @@ class StepMemo:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Tuple[str, Tuple]) -> Optional[float]:
+    def get(self, key: Tuple[str, Hashable]) -> Optional[Any]:
         try:
             value = self._entries[key]
         except KeyError:
@@ -150,7 +161,7 @@ class StepMemo:
         self.hits += 1
         return value
 
-    def put(self, key: Tuple[str, Tuple], value: float) -> None:
+    def put(self, key: Tuple[str, Hashable], value: Any) -> None:
         if key in self._entries:
             self._entries.move_to_end(key)
         self._entries[key] = value
@@ -174,16 +185,27 @@ class StepMemo:
 #: (context key, step signature) -> step cycles, shared within the process so
 #: sweep points over the same model/schedule reuse each other's steps
 _STEP_MEMO = StepMemo()
+#: per sub-layer term: (context key, term key) -> TermCost, behind _STEP_MEMO
+_TERM_MEMOS: Dict[str, StepMemo] = {term: StepMemo() for term in STEP_TERMS}
 
 
 def clear_step_cache() -> int:
-    """Drop the in-process step-cost memo (returns the number of entries)."""
+    """Drop the in-process step-cost memos, the per-term ones included
+    (returns the number of step-signature entries)."""
+    for memo in _TERM_MEMOS.values():
+        memo.clear()
     return _STEP_MEMO.clear()
 
 
 def step_cache_stats() -> Dict[str, int]:
     """Size/hit/miss/eviction counters of the process-wide step memo."""
     return _STEP_MEMO.stats()
+
+
+def term_cache_stats() -> Dict[str, Dict[str, int]]:
+    """The same counters for each sub-layer term's memo ("qkv",
+    "attention", "moe")."""
+    return {term: memo.stats() for term, memo in _TERM_MEMOS.items()}
 
 
 @dataclass(frozen=True)
@@ -321,6 +343,20 @@ def _context_key(config: ServeConfig, schedule: Schedule,
     })
 
 
+def _step_workload(config: ServeConfig, num_tokens: int,
+                   kv_lengths: Tuple[int, ...]) -> ServeStepWorkload:
+    """The step a signature stands for under ``config``."""
+    # routing depends only on the token count (plus the run seed), so steps
+    # with equal signatures are the same simulation
+    routing_seed = (config.seed * 1_000_003 + num_tokens) & 0x7FFFFFFF
+    return ServeStepWorkload(
+        model=config.model, num_tokens=num_tokens, kv_lengths=kv_lengths,
+        routing_seed=routing_seed, num_layers=config.num_layers,
+        kv_tile_rows=config.kv_tile_rows,
+        moe_compute_bw=config.moe_compute_bw,
+        attention_compute_bw=config.attention_compute_bw)
+
+
 def _step_cycles(config: ServeConfig, schedule: Schedule, hardware: HardwareConfig,
                  context: str, num_tokens: int, kv_lengths: Tuple[int, ...],
                  fresh: Dict[Tuple, float]) -> float:
@@ -328,19 +364,22 @@ def _step_cycles(config: ServeConfig, schedule: Schedule, hardware: HardwareConf
     key = (context, signature)
     cycles = _STEP_MEMO.get(key)
     if cycles is None:
-        # routing depends only on the token count (plus the run seed), so
-        # steps with equal signatures are the same simulation
-        routing_seed = (config.seed * 1_000_003 + num_tokens) & 0x7FFFFFFF
-        step = ServeStepWorkload(
-            model=config.model, num_tokens=num_tokens, kv_lengths=kv_lengths,
-            routing_seed=routing_seed, num_layers=config.num_layers,
-            kv_tile_rows=config.kv_tile_rows,
-            moe_compute_bw=config.moe_compute_bw,
-            attention_compute_bw=config.attention_compute_bw)
-        cycles = step.run(schedule, hardware)["cycles"]
+        step = _step_workload(config, num_tokens, kv_lengths)
+        cycles = step.run(schedule, hardware,
+                          lookup=partial(_term_cost, context))["cycles"]
         _STEP_MEMO.put(key, cycles)
     fresh[signature] = cycles
     return cycles
+
+
+def _term_cost(context: str, term: str, key: Hashable,
+               simulate_term: Callable[[], TermCost]) -> TermCost:
+    memo = _TERM_MEMOS[term]
+    cost = memo.get((context, key))
+    if cost is None:
+        cost = simulate_term()
+        memo.put((context, key), cost)
+    return cost
 
 
 #: one step's plan: (runner, tokens-it-contributes) per participant

@@ -9,7 +9,10 @@ Two adapters connect the serving simulator to the unified scenario API:
   (sub-layers are data dependent, so step latency is their sum, scaled by the
   layer count).  The scheduler maps every step it issues onto one of these,
   so serving rides the same builders, unified schedules and simulator as the
-  closed-loop experiments.
+  closed-loop experiments.  Each sub-layer is one :class:`TermCost`; ``run``
+  can take them from a memo keyed on the input each term depends on, which
+  is how the scheduler shares QKV / MoE terms between steps of equal token
+  count and attention terms between steps of equal KV lengths.
 * :class:`ServeWorkload` — a **whole serving run**: a
   :class:`~repro.serve.scheduler.ServeConfig` plus an arrival trace; ``run``
   executes the open-loop simulation
@@ -26,14 +29,16 @@ pool and canonicalizable for content-hash caching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Dict, Optional, Tuple
+from functools import partial
+from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, Hashable,
+                    NamedTuple, Optional, Tuple)
 
 from ..api.workload import BuiltWorkload, WorkloadBase, register_workload
 from ..core.errors import ConfigError
 from ..data.expert_routing import generate_routing_trace, representative_iteration
 from ..platforms import resolve_platform
 from ..schedules import Schedule
-from ..sim import simulate
+from ..sim import SimReport, simulate
 from ..sim.executors.common import HardwareConfig
 from ..workloads.attention import AttentionConfig, build_attention_layer
 from ..workloads.configs import ModelConfig
@@ -44,6 +49,27 @@ from .policy import DEFAULT_POLICY
 
 if TYPE_CHECKING:  # the scheduler imports this module
     from .scheduler import ServeConfig
+
+#: a step's sub-layer terms, as ``ServeStepWorkload.run`` names and sums them
+STEP_TERMS = ("qkv", "attention", "moe")
+
+
+class TermCost(NamedTuple):
+    """One sub-layer simulation's figures: all a step composes from it."""
+
+    cycles: float
+    offchip_traffic: int
+    onchip_memory: int
+    allocated_compute: int
+
+    @classmethod
+    def of(cls, report: SimReport) -> "TermCost":
+        return cls(report.cycles, report.offchip_traffic, report.onchip_memory,
+                   report.allocated_compute)
+
+
+#: ``lookup(term, key, simulate)`` -> the term's cost, memoized or simulated
+TermLookup = Callable[[str, Hashable, Callable[[], TermCost]], TermCost]
 
 
 @register_workload
@@ -85,22 +111,57 @@ class ServeStepWorkload(WorkloadBase):
         raise ConfigError("ServeStepWorkload is composite (three sub-layer programs); "
                           "use run() — there is no single Program to build")
 
-    def run(self, schedule: Schedule,
-            hardware: Optional[HardwareConfig] = None) -> Dict[str, float]:
-        hardware = resolve_platform(hardware).hardware
+    def run(self, schedule: Schedule, hardware: Optional[HardwareConfig] = None,
+            *, lookup: Optional[TermLookup] = None) -> Dict[str, float]:
+        """Simulate the three sub-layers and compose the step's metrics.
 
+        ``lookup(term, key, simulate)``, when given, supplies each term's
+        :class:`TermCost` — from a memo, or by calling ``simulate()`` — so a
+        term that is already known is neither built nor simulated.  ``key``
+        is the step input the term depends on beyond the model, schedule,
+        hardware and compute knobs: the token batch for QKV, the KV lengths
+        for attention, the token batch and routing seed for MoE.
+        """
+        hardware = resolve_platform(hardware).hardware
+        terms = (("qkv", self.num_tokens, self._qkv),
+                 ("attention", self.kv_lengths, self._attention),
+                 ("moe", (self.num_tokens, self.routing_seed), self._moe))
+        costs: Dict[str, TermCost] = {}
+        for term, key, cost in terms:
+            simulate_term = partial(cost, schedule, hardware)
+            costs[term] = (simulate_term() if lookup is None
+                           else lookup(term, key, simulate_term))
+
+        layer_cycles = sum(c.cycles for c in costs.values())
+        metrics: Dict[str, float] = {
+            "cycles": float(layer_cycles * self.num_layers),
+            "offchip_traffic_bytes": float(
+                sum(c.offchip_traffic for c in costs.values()) * self.num_layers),
+            "onchip_memory_bytes": float(
+                sum(c.onchip_memory for c in costs.values())),
+            "allocated_compute_flops_per_cycle": float(
+                sum(c.allocated_compute for c in costs.values())),
+            "num_layers": float(self.num_layers),
+        }
+        for term, cost in costs.items():
+            metrics[f"step_{term}_cycles"] = float(cost.cycles)
+        return metrics
+
+    def _qkv(self, schedule: Schedule, hardware: HardwareConfig) -> TermCost:
         qkv = build_qkv_layer(QKVConfig(model=self.model, batch=self.num_tokens,
                                         compute_bw=self.moe_compute_bw))
-        qkv_report = simulate(qkv.program, qkv.inputs(), hardware=hardware)
+        return TermCost.of(simulate(qkv.program, qkv.inputs(), hardware=hardware))
 
+    def _attention(self, schedule: Schedule, hardware: HardwareConfig) -> TermCost:
         par = schedule.parallelization
         attn = build_attention_layer(AttentionConfig(
             model=self.model, batch=len(self.kv_lengths), strategy=par.strategy,
             num_regions=par.num_regions, coarse_chunk=par.coarse_chunk,
             kv_tile_rows=self.kv_tile_rows, compute_bw=self.attention_compute_bw))
-        attn_report = simulate(attn.program, attn.inputs(list(self.kv_lengths)),
-                               hardware=hardware)
+        return TermCost.of(simulate(attn.program, attn.inputs(list(self.kv_lengths)),
+                                    hardware=hardware))
 
+    def _moe(self, schedule: Schedule, hardware: HardwareConfig) -> TermCost:
         # static schedules may carry tiles larger than this step's token batch
         tile_rows = schedule.moe_tile_rows
         if tile_rows is not None:
@@ -113,23 +174,8 @@ class ServeStepWorkload(WorkloadBase):
             num_regions=schedule.moe_num_regions,
             combine_output=schedule.moe_num_regions is None,
             compute_bw=self.moe_compute_bw))
-        moe_report = simulate(moe.program, moe.inputs(assignments), hardware=hardware)
-
-        reports = {"qkv": qkv_report, "attention": attn_report, "moe": moe_report}
-        layer_cycles = sum(r.cycles for r in reports.values())
-        metrics: Dict[str, float] = {
-            "cycles": float(layer_cycles * self.num_layers),
-            "offchip_traffic_bytes": float(
-                sum(r.offchip_traffic for r in reports.values()) * self.num_layers),
-            "onchip_memory_bytes": float(
-                sum(r.onchip_memory for r in reports.values())),
-            "allocated_compute_flops_per_cycle": float(
-                sum(r.allocated_compute for r in reports.values())),
-            "num_layers": float(self.num_layers),
-        }
-        for sub, report in reports.items():
-            metrics[f"step_{sub}_cycles"] = float(report.cycles)
-        return metrics
+        return TermCost.of(simulate(moe.program, moe.inputs(assignments),
+                                    hardware=hardware))
 
     def label(self) -> str:
         return f"serve_step:{self.model.name}:t{self.num_tokens}:r{len(self.kv_lengths)}"

@@ -170,3 +170,20 @@ class TestGrid:
         # derived platforms keep the base's other knobs
         assert grid["v-onchip64"].hardware.offchip_bandwidth == \
             get_platform("sda-hbm256").hardware.offchip_bandwidth
+
+
+class TestPooledPlatformSweep:
+    def test_two_platform_scenario_through_the_pool(self):
+        """A registered scenario re-gridded over two platforms runs through
+        the pooled runner, simulating every cell once per platform."""
+        from repro.api import Scenario, get_scenario, run
+
+        base = get_scenario("dense-ffn")
+        sweep = Scenario(name="pooled-platform-sweep", workloads=base.workloads,
+                         schedules=base.schedules,
+                         platforms=platform_grid(onchip_bandwidths=(64.0, 256.0)))
+        result = run(sweep, jobs=2)
+        assert {row.platform for row in result.rows} == {"sda", "sda-onchip256"}
+        assert result.stats.simulated == len(result.rows) > 0
+        assert [row.metrics for row in result.rows] == \
+            [row.metrics for row in run(sweep).rows]

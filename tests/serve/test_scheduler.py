@@ -1,13 +1,18 @@
 """Behavioural invariants of the continuous-batching scheduler."""
 
+import functools
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.errors import ConfigError
+from repro.platforms import resolve_platform
 from repro.schedules import Schedule
 from repro.serve import (ServeConfig, StepMemo, clear_step_cache, poisson_trace,
-                         simulate_serving, step_cache_stats, trace_from_lists)
+                         simulate_serving, step_cache_stats, term_cache_stats,
+                         trace_from_lists)
+from repro.serve.workload import STEP_TERMS
 from repro.workloads.configs import QWEN3_30B_A3B, scaled_config
 
 
@@ -179,11 +184,126 @@ class TestBoundedMemo:
         clear_step_cache()
         reference = simulate_serving(config(model), trace, Schedule.dynamic())
         monkeypatch.setattr(scheduler, "_STEP_MEMO", StepMemo(maxsize=1))
+        monkeypatch.setattr(scheduler, "_TERM_MEMOS",
+                            {term: StepMemo(maxsize=1) for term in STEP_TERMS})
         squeezed = simulate_serving(config(model), trace, Schedule.dynamic())
         assert squeezed.to_dict() == reference.to_dict()
         stats = scheduler.step_cache_stats()
         assert stats["maxsize"] == 1
         assert stats["evictions"] > 0
+        for term, term_stats in term_cache_stats().items():
+            assert term_stats["maxsize"] == 1, term
+            assert term_stats["evictions"] > 0, term
+
+
+class TestTermMemo:
+    """Each sub-layer term is simulated once per distinct input it depends
+    on, and composing memoized terms never changes a result."""
+
+    def test_one_simulation_per_distinct_input(self, model, monkeypatch):
+        from repro.serve import scheduler, workload
+
+        seen = []
+        step_cycles = scheduler._step_cycles
+
+        def recording(config, schedule, hardware, context, num_tokens,
+                      kv_lengths, fresh):
+            seen.append((num_tokens, kv_lengths))
+            return step_cycles(config, schedule, hardware, context,
+                               num_tokens, kv_lengths, fresh)
+
+        builds = {term: 0 for term in STEP_TERMS}
+        for term in STEP_TERMS:
+            builder = getattr(workload, f"build_{term}_layer")
+
+            def counting(cfg, _term=term, _builder=builder):
+                builds[_term] += 1
+                return _builder(cfg)
+
+            monkeypatch.setattr(workload, f"build_{term}_layer", counting)
+        monkeypatch.setattr(scheduler, "_step_cycles", recording)
+
+        trace = poisson_trace(rate=400.0, num_requests=8, seed=4,
+                              prompt_mean=48.0, prompt_max=160,
+                              output_mean=4.0, output_max=8)
+        clear_step_cache()
+        report = simulate_serving(config(model, batch_cap=3), trace,
+                                  Schedule.dynamic())
+        token_counts = {tokens for tokens, _ in seen}
+        kv_tuples = {kv for _, kv in seen}
+        # the trace must make signatures share terms, or nothing is shown
+        assert len(token_counts) < report.distinct_steps
+        assert len(kv_tuples) < report.distinct_steps
+
+        terms = term_cache_stats()
+        assert step_cache_stats()["misses"] == report.distinct_steps == len(set(seen))
+        assert terms["qkv"]["misses"] == len(token_counts) == builds["qkv"]
+        assert terms["moe"]["misses"] == len(token_counts) == builds["moe"]
+        assert terms["attention"]["misses"] == len(kv_tuples) == builds["attention"]
+
+    def test_clear_step_cache_clears_the_term_memos(self, model):
+        trace = trace_from_lists([0.0], [32], [2], name="one")
+        clear_step_cache()
+        simulate_serving(config(model), trace, Schedule.dynamic())
+        assert all(stats["size"] for stats in term_cache_stats().values())
+        assert clear_step_cache() == 2  # the prefill and the decode signature
+        for stats in term_cache_stats().values():
+            assert stats == {"size": 0, "maxsize": stats["maxsize"], "hits": 0,
+                             "misses": 0, "evictions": 0}
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(trace_seed=st.integers(0, 2**16), num_requests=st.integers(1, 5),
+           rate=st.sampled_from([100.0, 800.0]), seed=st.integers(0, 3),
+           batch_cap=st.integers(1, 3), kv_tile_rows=st.sampled_from([16, 64]),
+           schedule=st.sampled_from([Schedule.dynamic(),
+                                     Schedule.static("static", tile_rows=4)]))
+    def test_term_memo_matches_uncached_steps(self, model, monkeypatch,
+                                              trace_seed, num_requests, rate,
+                                              seed, batch_cap, kv_tile_rows,
+                                              schedule):
+        from repro.serve import scheduler
+
+        trace = poisson_trace(rate=rate, num_requests=num_requests,
+                              seed=trace_seed, prompt_mean=40.0, prompt_max=128,
+                              output_mean=3.0, output_max=5)
+        cfg = config(model, seed=seed, batch_cap=batch_cap,
+                     kv_tile_rows=kv_tile_rows)
+        clear_step_cache()
+        memoized = simulate_serving(cfg, trace, schedule).to_dict()
+
+        def uncached(config, schedule, hardware, context, num_tokens,
+                     kv_lengths, fresh):
+            step = scheduler._step_workload(config, num_tokens, kv_lengths)
+            cycles = step.run(schedule, hardware)["cycles"]
+            fresh[(num_tokens, kv_lengths)] = cycles
+            return cycles
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scheduler, "_step_cycles", uncached)
+            reference = simulate_serving(cfg, trace, schedule).to_dict()
+        memoized.pop("step_cache")
+        reference.pop("step_cache")
+        assert memoized == reference
+
+    def test_direct_run_returns_the_full_metrics(self, model):
+        from repro.serve import scheduler
+
+        step = scheduler._step_workload(config(model), 40, (64, 128))
+        hardware = resolve_platform(None).hardware
+        direct = step.run(Schedule.dynamic())
+        clear_step_cache()
+        memo = functools.partial(scheduler._term_cost, "ctx")
+        assert step.run(Schedule.dynamic(), hardware, lookup=memo) == direct
+        assert step.run(Schedule.dynamic(), hardware, lookup=memo) == direct
+        assert set(direct) == {
+            "cycles", "offchip_traffic_bytes", "onchip_memory_bytes",
+            "allocated_compute_flops_per_cycle", "num_layers",
+            "step_qkv_cycles", "step_attention_cycles", "step_moe_cycles"}
+        assert direct["cycles"] == (direct["step_qkv_cycles"]
+                                    + direct["step_attention_cycles"]
+                                    + direct["step_moe_cycles"])
+        assert all(stats["hits"] == 1 for stats in term_cache_stats().values())
 
 
 class TestFloatAccumulation:
