@@ -24,10 +24,16 @@ Three bindings:
   function of the run's own step sequence, so surrogate results stay a
   deterministic function of ``(config, trace, schedule, platform)`` —
   nothing leaks between runs, replicas or sweep points.
+
+Both surrogate flavours predict through :func:`_predicted`: a signature the
+replica already costed is answered from its ``signatures`` map, so
+``predict`` runs (and warns about a clamped signature) once per distinct
+signature rather than once per step.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from ..core.errors import ConfigError
@@ -73,23 +79,31 @@ class AdaptiveSurrogate:
 
     def cycles(self, num_tokens: int, kv_lengths: Tuple[int, ...],
                signatures: Dict[Tuple, float]) -> float:
+        if self._model is not None:
+            # every probe is in ``signatures`` too: the probe phase put it there
+            return _predicted(self._model, num_tokens, kv_lengths, signatures)
         from ..serve import scheduler
 
+        cycles = scheduler._step_cycles(
+            self._config, self._schedule, self._hardware, self._context,
+            num_tokens, kv_lengths, signatures)
         signature = (num_tokens, kv_lengths)
-        if self._model is None:
-            cycles = scheduler._step_cycles(
-                self._config, self._schedule, self._hardware, self._context,
-                num_tokens, kv_lengths, signatures)
-            if signature not in self._probes:
-                self._probes[signature] = cycles
-                if len(self._probes) >= self._budget:
-                    self._fit()
-            return cycles
-        cached = self._probes.get(signature)
-        if cached is None:
-            cached = self._model.predict(num_tokens, kv_lengths)
-        signatures[signature] = cached
-        return cached
+        if signature not in self._probes:
+            self._probes[signature] = cycles
+            if len(self._probes) >= self._budget:
+                self._fit()
+        return cycles
+
+
+def _predicted(model: CostModel, num_tokens: int, kv_lengths: Tuple[int, ...],
+               signatures: Dict[Tuple, float]) -> float:
+    """The step's cycles from ``signatures`` when this run already costed
+    it, else from ``model.predict`` (recorded for the next repeat)."""
+    signature = (num_tokens, kv_lengths)
+    cycles = signatures.get(signature)
+    if cycles is None:
+        cycles = signatures[signature] = model.predict(num_tokens, kv_lengths)
+    return cycles
 
 
 def bind_cost_model(config, schedule, hardware, context: str) -> StepCostFn:
@@ -116,11 +130,4 @@ def bind_cost_model(config, schedule, hardware, context: str) -> StepCostFn:
         raise ConfigError(f"cost_model must resolve to a registered name or "
                           f"a CostModel, got {type(model).__name__!r}")
     check_context(model, context)
-
-    def predicted_cycles(num_tokens: int, kv_lengths: Tuple[int, ...],
-                         signatures: Dict[Tuple, float]) -> float:
-        cycles = model.predict(num_tokens, kv_lengths)
-        signatures[(num_tokens, kv_lengths)] = cycles
-        return cycles
-
-    return predicted_cycles
+    return partial(_predicted, model)

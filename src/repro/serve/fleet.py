@@ -361,7 +361,8 @@ def simulate_fleet(config: FleetConfig, trace: ArrivalTrace,
     for request in trace.requests:
         cycle = request.arrival
         for replica in state.replicas:
-            replica.advance_to(cycle)
+            if replica.now < cycle:  # else advance_to would not step
+                replica.advance_to(cycle)
         if scaler is not None:
             decision = scaler.observe(cycle, state.active)
             if decision == "up":

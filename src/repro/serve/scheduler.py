@@ -297,9 +297,14 @@ class ServeConfig:
                                resolve_cost_model(self.cost_model))
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class _Active:
-    """A request in the running batch (or re-queued after preemption)."""
+    """A request in the running batch (or re-queued after preemption).
+
+    Compared by identity: the batch and queue hold each runner once, and
+    their membership tests and removals need not compare field tuples.
+    Slotted, because every step reads these fields for each runner.
+    """
 
     request: Request
     #: output tokens produced so far (0 = the prefill phase is still ahead)
@@ -315,6 +320,9 @@ class _Active:
     #: context tokens already prefilled since the last (re-)admission —
     #: only chunked batching leaves this mid-way between steps
     context_done: int = 0
+    #: tokens it contributes to the step in flight (0 = not a participant);
+    #: set from the plan and cleared by the step's completion loop
+    chunk: int = 0
 
     @property
     def kv_length(self) -> int:
@@ -673,47 +681,52 @@ class ReplicaEngine:
             plan = self._secure_kv(plan)
 
         running = self._running
-        prefill_tokens = sum(c for a, c in plan if a.needs_prefill)
-        num_tokens = prefill_tokens + sum(1 for a, _ in plan
-                                          if not a.needs_prefill)
-        kv_lengths = tuple(sorted(
-            quantize_up(a.context_done + c if a.needs_prefill else a.kv_length,
-                        self.config.kv_tile_rows) for a, c in plan))
+        # one pass over the plan: the step signature, its counts, and each
+        # participant's chunk for the completion loop below
+        tile = self.config.kv_tile_rows
+        num_tokens = prefills = 0
+        rows: List[int] = []
+        for active, chunk in plan:
+            active.chunk = chunk
+            if active.needs_prefill:
+                prefills += 1
+                num_tokens += chunk
+                kv = active.context_done + chunk
+            else:
+                num_tokens += 1
+                kv = active.kv_length
+            rows.append(-(-kv // tile) * tile)  # quantize_up(kv, tile); kv >= 1
+        rows.sort()
+        kv_lengths = tuple(rows)
         if self._cost_fn is None:
             cycles = _step_cycles(self.config, self.schedule, self.hardware,
                                   self._context, num_tokens, kv_lengths,
                                   self._signatures)
         else:
             cycles = self._cost_fn(num_tokens, kv_lengths, self._signatures)
-        if self._pool is not None:
+        pool = self._pool
+        if pool is not None:
+            occupancy, fragmentation = pool.occupancy, pool.fragmentation
             self._occ_samples += 1
-            self._occ_sum += self._pool.occupancy
-            self._occ_max = max(self._occ_max, self._pool.occupancy)
-            self._frag_sum += self._pool.fragmentation
-            self._frag_max = max(self._frag_max, self._pool.fragmentation)
-        sample = StepSample(
-            start=self.now, cycles=cycles, running=len(running),
-            queued=len(self._waiting), tokens=num_tokens,
-            prefills=sum(1 for a, _ in plan if a.needs_prefill),
-            kv_rows=sum(a.kv_length for a in running),
-            kv_pages=self._pool.used_pages if self._pool is not None else 0,
-            kv_capacity_pages=(self._pool.capacity_pages
-                               if self._pool is not None else 0),
-            preemptions=self._preemptions - preemptions_before)
-        if self._stream is not None:
-            self._stream.observe_step(sample)
-        else:
-            self._steps.append(sample)
+            self._occ_sum += occupancy
+            self._occ_max = max(self._occ_max, occupancy)
+            self._frag_sum += fragmentation
+            self._frag_max = max(self._frag_max, fragmentation)
+        start = self.now
+        # read before completions release their pages
+        kv_pages = pool.used_pages if pool is not None else 0
         self._busy_cycles += cycles
         self.now += cycles
 
-        chunk_of = {id(a): c for a, c in plan}
+        kv_rows = 0  # the batch's KV as the step was issued
         still: List[_Active] = []
         for active in running:
-            chunk = chunk_of.get(id(active))
-            if chunk is None:
+            kv_rows += active.kv_length
+            chunk = active.chunk
+            if not chunk:
                 still.append(active)  # sat this step out (kept its KV)
                 continue
+            active.chunk = 0
             if active.needs_prefill:
                 active.context_done += chunk
                 if active.context_done < active.kv_length:
@@ -725,8 +738,8 @@ class ReplicaEngine:
                 active.needs_prefill = False
             active.generated += 1
             if active.generated >= active.request.output_tokens:
-                if self._pool is not None:
-                    self._pool.release(active.request.request_id)
+                if pool is not None:
+                    pool.release(active.request.request_id)
                 record = RequestRecord(
                     request_id=active.request.request_id,
                     arrival=active.request.arrival,
@@ -742,6 +755,16 @@ class ReplicaEngine:
             else:
                 still.append(active)
         self._running = still
+        sample = StepSample(
+            start=start, cycles=cycles, running=len(running),
+            queued=len(self._waiting), tokens=num_tokens, prefills=prefills,
+            kv_rows=kv_rows, kv_pages=kv_pages,
+            kv_capacity_pages=pool.capacity_pages if pool is not None else 0,
+            preemptions=self._preemptions - preemptions_before)
+        if self._stream is not None:
+            self._stream.observe_step(sample)
+        else:
+            self._steps.append(sample)
         return sample
 
     def _check_plan(self, plan: StepPlan) -> None:
@@ -751,8 +774,8 @@ class ReplicaEngine:
                 f"batching policy {self.config.policy.batching!r} planned an "
                 f"empty step for a non-empty batch")
         for active, chunk in plan:
-            remaining = active.kv_length - active.context_done
-            limit = remaining if active.needs_prefill else 1
+            limit = (active.kv_length - active.context_done
+                     if active.needs_prefill else 1)
             if not 1 <= chunk <= limit:
                 raise ConfigError(
                     f"batching policy {self.config.policy.batching!r} planned "

@@ -88,19 +88,33 @@ class QuantileSketch:
 
     def observe(self, value: float) -> None:
         """Fold one observation into the sketch."""
+        self._fold(value, ())
+
+    def _fold(self, value: float, twins: Tuple["QuantileSketch", ...]) -> None:
+        """Fold ``value`` into this sketch and each of ``twins``.
+
+        The twins must share this sketch's ``rel_accuracy``: the value's
+        bucket is computed once for all of them, and each ends up exactly as
+        after its own :meth:`observe`.
+        """
         value = float(value)
         if value < 0.0:
             raise ConfigError(f"QuantileSketch observes latencies (>= 0), "
                               f"got {value}")
-        if value == 0.0:
-            self.zero_count += 1
-        else:
-            index = self._bucket_index(value)
-            self._buckets[index] = self._buckets.get(index, 0) + 1
-        self.count += 1
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-        self.sum += value
+        index = None if value == 0.0 else self._bucket_index(value)
+        for sketch in (self, *twins):
+            if index is None:
+                sketch.zero_count += 1
+            else:
+                buckets = sketch._buckets
+                buckets[index] = buckets.get(index, 0) + 1
+            sketch.count += 1
+            # strict tests keep the first of equal values, as min()/max() do
+            if value < sketch.min:
+                sketch.min = value
+            if value > sketch.max:
+                sketch.max = value
+            sketch.sum += value
 
     @property
     def mean(self) -> float:
@@ -221,20 +235,27 @@ class _Window:
         self.preemptions = 0
 
     def observe(self, sample) -> None:
+        # once per step: plain comparisons instead of max() calls
+        queued, running = sample.queued, sample.running
+        kv_rows, kv_pages = sample.kv_rows, sample.kv_pages
         self.steps += 1
         self.cycles += sample.cycles
         self.tokens += sample.tokens
         self.prefills += sample.prefills
-        self.queued_sum += sample.queued
-        self.queued_max = max(self.queued_max, sample.queued)
-        self.running_sum += sample.running
-        self.running_max = max(self.running_max, sample.running)
-        self.kv_rows_sum += sample.kv_rows
-        self.kv_rows_max = max(self.kv_rows_max, sample.kv_rows)
-        self.kv_pages_sum += sample.kv_pages
-        self.kv_pages_max = max(self.kv_pages_max, sample.kv_pages)
-        self.kv_capacity_pages = max(self.kv_capacity_pages,
-                                     sample.kv_capacity_pages)
+        self.queued_sum += queued
+        if queued > self.queued_max:
+            self.queued_max = queued
+        self.running_sum += running
+        if running > self.running_max:
+            self.running_max = running
+        self.kv_rows_sum += kv_rows
+        if kv_rows > self.kv_rows_max:
+            self.kv_rows_max = kv_rows
+        self.kv_pages_sum += kv_pages
+        if kv_pages > self.kv_pages_max:
+            self.kv_pages_max = kv_pages
+        if sample.kv_capacity_pages > self.kv_capacity_pages:
+            self.kv_capacity_pages = sample.kv_capacity_pages
         self.preemptions += sample.preemptions
 
     def merge(self, other: "_Window") -> None:
@@ -431,13 +452,11 @@ class StreamingStats:
         self.num_requests += 1
         self.total_output_tokens += record.output_tokens
         trio = self._class_sketches(record.priority)
-        self.ttft.observe(record.ttft)
-        trio["ttft"].observe(record.ttft)
-        self.e2e.observe(record.e2e)
-        trio["e2e"].observe(record.e2e)
+        # each latency is bucketed once, for the run and its priority class
+        self.ttft._fold(record.ttft, (trio["ttft"],))
+        self.e2e._fold(record.e2e, (trio["e2e"],))
         if record.output_tokens > 1:
-            self.tpot.observe(record.tpot)
-            trio["tpot"].observe(record.tpot)
+            self.tpot._fold(record.tpot, (trio["tpot"],))
 
     def observe_step(self, sample) -> None:
         """Fold one scheduler step (anything with the StepSample attributes)."""

@@ -13,17 +13,23 @@ The headline contract of the two-tier engine
   match the exact engine exactly,
 * single-signature workloads stay exact (the probe budget covers them, the
   table fallback replays probes verbatim),
+* a signature the run already costed is answered from the run's own
+  signature map, so a clamped signature warns once however often it repeats,
 * misconfiguration fails loudly: unknown engines, empty calibration
   budgets, ``cost_model`` under the exact engine, fitted models applied to
   a mismatched context.
 """
 
+import hashlib
+import json
 import warnings
+from collections import Counter
 
 import pytest
 
 from repro.core.errors import ConfigError
-from repro.costmodel import SURROGATE_TOLERANCE, calibrate_model
+from repro.costmodel import (SURROGATE_TOLERANCE, CostModelExtrapolationWarning,
+                             calibrate_model)
 from repro.platforms import get_platform
 from repro.schedules import Schedule
 from repro.serve import ServeConfig, simulate_serving, trace_from_lists
@@ -177,3 +183,29 @@ class TestFittedArtifacts:
         config = ServeConfig(model=MODEL, engine="surrogate",
                              cost_model=fitted.to_dict())
         assert config.cost_model == fitted
+
+
+class TestRepeatedSignatures:
+    def test_clamped_signature_warns_once_and_results_stay(self):
+        """Four short requests calibrate the surrogate (budget 4) on small
+        steps; four identical long ones then repeat out-of-range decode
+        signatures.  Each clamped signature warns once, and the report is
+        the one recorded before repeats were answered from the run's
+        signature map (digest without the process-wide ``step_cache``)."""
+        trace = trace_from_lists([0.0, 10.0, 20.0, 30.0] + [50_000.0] * 4,
+                                 [16, 32, 48, 64] + [256] * 4,
+                                 [2, 2, 2, 2] + [6] * 4, name="clamp")
+        config = ServeConfig(model=MODEL, batch_cap=4, num_layers=1,
+                             engine="surrogate", calibration_budget=4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = simulate_serving(config, trace, Schedule.dynamic())
+        clamps = Counter(str(w.message) for w in caught
+                         if w.category is CostModelExtrapolationWarning)
+        assert len(report.steps) > report.distinct_steps  # repeats happened
+        assert clamps and max(clamps.values()) == 1
+        payload = report.to_dict()
+        payload.pop("step_cache")
+        text = json.dumps(payload, sort_keys=True)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] \
+            == "7be68edc9d5d593a"

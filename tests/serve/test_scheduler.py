@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.errors import ConfigError
 from repro.platforms import resolve_platform
 from repro.schedules import Schedule
-from repro.serve import (ServeConfig, StepMemo, clear_step_cache, poisson_trace,
-                         simulate_serving, step_cache_stats, term_cache_stats,
-                         trace_from_lists)
+from repro.serve import (ServeConfig, ServePolicy, StepMemo, clear_step_cache,
+                         poisson_trace, simulate_serving, step_cache_stats,
+                         term_cache_stats, trace_from_lists)
 from repro.serve.workload import STEP_TERMS
 from repro.workloads.configs import QWEN3_30B_A3B, scaled_config
 
@@ -28,15 +28,17 @@ def config(model, **overrides):
     return ServeConfig(model=model, **defaults)
 
 
+#: six requests arriving faster than a cap-2 server drains them
+BUSY_TRACE = trace_from_lists(
+    arrivals=[0.0, 0.0, 0.0, 500.0, 500.0, 1000.0],
+    prompt_tokens=[32, 16, 16, 32, 16, 16],
+    output_tokens=[3, 2, 2, 3, 1, 2],
+    name="busy")
+
+
 @pytest.fixture(scope="module")
 def busy_report(model):
-    """Six requests arriving faster than a cap-2 server drains them."""
-    trace = trace_from_lists(
-        arrivals=[0.0, 0.0, 0.0, 500.0, 500.0, 1000.0],
-        prompt_tokens=[32, 16, 16, 32, 16, 16],
-        output_tokens=[3, 2, 2, 3, 1, 2],
-        name="busy")
-    return simulate_serving(config(model), trace, Schedule.dynamic())
+    return simulate_serving(config(model), BUSY_TRACE, Schedule.dynamic())
 
 
 class TestSchedulingInvariants:
@@ -62,12 +64,21 @@ class TestSchedulingInvariants:
         first_tokens = [r.first_token for r in records]
         assert first_tokens == sorted(first_tokens)
 
-    def test_token_conservation_across_steps(self, busy_report):
+    # chunked prefill and prefill-decode leave runners out of some steps; a
+    # runner that sat a step out must neither advance nor emit a token
+    @pytest.mark.parametrize("policy", [
+        None, ServePolicy(batching="chunked-prefill", prefill_chunk=16),
+        ServePolicy(batching="prefill-decode")],
+        ids=lambda policy: policy.batching if policy else "default")
+    def test_token_conservation_across_steps(self, model, policy):
         # each request contributes its prompt (prefill step) plus one token
         # per decode step; the step samples must account for every one
+        report = simulate_serving(config(model, policy=policy), BUSY_TRACE,
+                                  Schedule.dynamic())
         expected = sum(r.prompt_tokens + (r.output_tokens - 1)
-                       for r in busy_report.requests)
-        assert sum(step.tokens for step in busy_report.steps) == expected
+                       for r in report.requests)
+        assert report.num_requests == 6
+        assert sum(step.tokens for step in report.steps) == expected
 
     def test_steps_are_contiguous_in_time(self, busy_report):
         for prev, cur in zip(busy_report.steps, busy_report.steps[1:]):

@@ -10,14 +10,20 @@ The contract under test (:mod:`repro.serve.streaming`):
   every non-percentile aggregate,
 * the report memory of a streaming run is O(windows + sketch buckets),
   independent of the request count — pinned by a 100k-request run under
-  ``tracemalloc``.
+  ``tracemalloc``,
+* ``StreamingStats.observe_request`` buckets each latency once for the run
+  and its priority class, and both sketches end up exactly as if each had
+  observed the value on its own (a property over generated records).
 """
 
 import json
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ConfigError
 from repro.schedules import Schedule
@@ -282,6 +288,69 @@ class TestStreamingStats:
         clone = StreamingStats.from_dict(whole.to_dict())
         assert clone.to_dict() == whole.to_dict()
         json.dumps(whole.to_dict())
+
+
+#: latencies with the edge cases forced in: zero (its own counter), the
+#: smallest subnormal and a tiny normal value, and values near the top of
+#: the float range
+LATENCIES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e300, 1.7e308]),
+    st.floats(min_value=0.0, max_value=1e12, allow_nan=False,
+              allow_infinity=False))
+
+RECORDS = st.lists(st.builds(
+    SimpleNamespace, ttft=LATENCIES, e2e=LATENCIES, tpot=LATENCIES,
+    # 1 output token: no TPOT is observed
+    output_tokens=st.integers(min_value=1, max_value=3),
+    priority=st.integers(min_value=0, max_value=2)), max_size=40)
+
+
+def reference_sketch(values, rel_accuracy):
+    """The sketch payload of ``values``, computed without the sketch."""
+    log_gamma = math.log((1.0 + rel_accuracy) / (1.0 - rel_accuracy))
+    buckets = {}
+    for value in values:
+        if value:
+            index = int(math.ceil(math.log(value) / log_gamma))
+            buckets[index] = buckets.get(index, 0) + 1
+    total = 0.0
+    for value in values:
+        total += value
+    return {"rel_accuracy": rel_accuracy, "count": len(values),
+            "zero_count": sum(1 for v in values if v == 0.0),
+            "min": min(values) if values else None,
+            "max": max(values) if values else None, "sum": total,
+            "buckets": {str(i): c for i, c in sorted(buckets.items())}}
+
+
+class TestSharedBucketFold:
+    @settings(max_examples=60, deadline=None)
+    @given(records=RECORDS,
+           rel_accuracy=st.sampled_from([0.01, 0.05, 0.2]))
+    def test_run_and_class_sketches_match_separate_observes(
+            self, records, rel_accuracy):
+        stats = StreamingStats(rel_accuracy=rel_accuracy)
+        separate = {"ttft": QuantileSketch(rel_accuracy),
+                    "e2e": QuantileSketch(rel_accuracy),
+                    "tpot": QuantileSketch(rel_accuracy)}
+        by_class = {}
+        for record in records:
+            stats.observe_request(record)
+            trio = by_class.setdefault(record.priority, {
+                key: QuantileSketch(rel_accuracy) for key in separate})
+            for key in ("ttft", "e2e") + (("tpot",)
+                                          if record.output_tokens > 1 else ()):
+                separate[key].observe(getattr(record, key))
+                trio[key].observe(getattr(record, key))
+        payload = stats.to_dict()
+        for key, sketch in separate.items():
+            assert payload[key] == sketch.to_dict()
+            values = [getattr(r, key) for r in records
+                      if key != "tpot" or r.output_tokens > 1]
+            assert payload[key] == reference_sketch(values, rel_accuracy)
+        assert payload["classes"] == {
+            str(cls): {key: sketch.to_dict() for key, sketch in trio.items()}
+            for cls, trio in sorted(by_class.items())}
 
 
 class TestResolveReportMode:
