@@ -14,6 +14,7 @@ scale was used for each regenerated figure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -217,8 +218,14 @@ def resolve_scale(value) -> ExperimentScale:
 
 def moe_routing(model: ModelConfig, batch: int, scale: ExperimentScale) -> Sequence[Sequence[int]]:
     """A representative expert-routing iteration for the MoE experiments."""
-    trace = generate_routing_trace(model, batch_size=batch, num_iterations=8,
-                                   seed=scale.seed)
+    return _routing_draw(model, batch, scale.seed)
+
+
+@lru_cache(maxsize=16)
+def _routing_draw(model: ModelConfig, batch: int, seed: int) -> Tuple[Tuple[int, ...], ...]:
+    # figures 9, 12 and 17 ask for the same few seeded draws over and over;
+    # the result is an immutable tuple of tuples, so sharing it is safe
+    trace = generate_routing_trace(model, batch_size=batch, num_iterations=8, seed=seed)
     return representative_iteration(trace)
 
 

@@ -122,28 +122,6 @@ class Engine:
         self.time_slack = float(time_slack)
         self._events = 0
         self._sinks_pending = 0
-        #: effect kind -> bound handler(process, effect, horizon); handlers
-        #: return the effect result, or _SUSPEND when the process parked
-        self._handlers = {
-            "push": self._do_push,
-            "push_at": self._do_push_at,
-            "push_all": self._do_push_all,
-            "push_many": self._do_push_many,
-            "push_many_at": self._do_push_many_at,
-            "push_run": self._do_push_run,       # internal resume of batched pushes
-            "tick_push_all": self._do_tick_push_all,
-            "tick_push_many": self._do_tick_push_many,
-            "hbm_push": self._do_hbm_push,
-            "pop": self._do_pop,
-            "pop_any": self._do_pop_any,
-            "pop_each": self._do_pop_each,
-            "pop_each_run": self._do_pop_each_run,  # internal resume of pop_each
-            "pop_run": self._do_pop_run,
-            "peek": self._do_peek,
-            "hbm": self._do_hbm,
-            "time": self._do_time,
-        }
-
     # -- construction --------------------------------------------------------------
     def add_channel(self, name: str = "", capacity: Optional[int] = None,
                     latency: float = 1.0) -> Channel:
@@ -171,28 +149,45 @@ class Engine:
         timed = self.timed
         slack = self.time_slack
         track_sinks = bool(sinks)
-        while runnable:
-            if track_sinks and not self._sinks_pending:
-                break
-            process = heappop(runnable)[2]
-            if process.state is ProcessState.DONE:
-                continue
-            process.state = ProcessState.RUNNABLE
-            if timed and runnable:
-                horizon = runnable[0][0] + slack
-            else:
-                horizon = _INF
-            self._advance(process, horizon)
+        try:
+            while runnable:
+                if track_sinks and not self._sinks_pending:
+                    break
+                process = heappop(runnable)[2]
+                if process.state is ProcessState.DONE:
+                    continue
+                process.state = ProcessState.RUNNABLE
+                if timed and runnable:
+                    horizon = runnable[0][0] + slack
+                else:
+                    horizon = _INF
+                self._advance(process, horizon)
 
-        if sinks and not all(p.state is ProcessState.DONE for p in sinks):
-            blocked = [f"{p.name} blocked on {[c.name for c in p.blocked_on]}"
-                       for p in self.processes if p.state is ProcessState.BLOCKED]
-            raise DeadlockError(
-                "simulation deadlocked before all sinks completed", blocked=blocked)
+            if sinks and not all(p.state is ProcessState.DONE for p in sinks):
+                blocked = [f"{p.name} blocked on {[c.name for c in p.blocked_on]}"
+                           for p in self.processes if p.state is ProcessState.BLOCKED]
+                raise DeadlockError(
+                    "simulation deadlocked before all sinks completed", blocked=blocked)
+        finally:
+            self._release()
 
         self.metrics.cycles = self.total_cycles()
         self.metrics.events = self._events
         return self.metrics
+
+    def _release(self) -> None:
+        """Break the reference cycles a run leaves behind.
+
+        A suspended executor's frame holds its channels, whose waiter lists
+        hold the suspended processes back: without this, every engine would
+        be cyclic garbage left for the collector.
+        """
+        for process in self.processes:
+            if process.state is not ProcessState.DONE:
+                process.generator.close()
+        for channel in self.channels:
+            channel.data_waiters.clear()
+            channel.space_waiters.clear()
 
     def total_cycles(self) -> float:
         """Total execution time: the latest local clock across all processes."""
@@ -205,7 +200,7 @@ class Engine:
         """Run ``process`` until it blocks, finishes or overruns ``horizon``."""
         generator = process.generator
         send = generator.send
-        handlers = self._handlers
+        handlers = self._HANDLERS
         timed = self.timed
         max_events = self.max_events
         events = self._events
@@ -249,7 +244,7 @@ class Engine:
                 self._events = events
                 raise SimulationError(
                     f"unknown effect {effect!r} from process {process.name}") from None
-            result = handler(process, effect, horizon)
+            result = handler(self, process, effect, horizon)
             if result is _SUSPEND:
                 self._events = events
                 return
@@ -618,3 +613,26 @@ class Engine:
                 process.state = ProcessState.RUNNABLE
                 process.blocked_on = []
                 self._enqueue(process)
+
+    #: effect kind -> handler(engine, process, effect, horizon), returning the
+    #: effect result or _SUSPEND when the process parked.  Plain functions, not
+    #: bound methods, so an engine holds no reference to itself.
+    _HANDLERS = {
+        "push": _do_push,
+        "push_at": _do_push_at,
+        "push_all": _do_push_all,
+        "push_many": _do_push_many,
+        "push_many_at": _do_push_many_at,
+        "push_run": _do_push_run,       # internal resume of batched pushes
+        "tick_push_all": _do_tick_push_all,
+        "tick_push_many": _do_tick_push_many,
+        "hbm_push": _do_hbm_push,
+        "pop": _do_pop,
+        "pop_any": _do_pop_any,
+        "pop_each": _do_pop_each,
+        "pop_each_run": _do_pop_each_run,  # internal resume of pop_each
+        "pop_run": _do_pop_run,
+        "peek": _do_peek,
+        "hbm": _do_hbm,
+        "time": _do_time,
+    }

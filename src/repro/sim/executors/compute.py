@@ -12,7 +12,7 @@ runs are pushed with ``push_all``/``push_many``.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from ...core.dtypes import Tile, TupleValue, value_nbytes
 from ...core.errors import StreamProtocolError
@@ -26,9 +26,11 @@ from .common import OpContext, OutputBuilder, matmul_onchip_bytes, push_all, pus
 def map_executor(op: Map, ins: Sequence[Channel], outs: Sequence[Sequence[Channel]],
                  ctx: OpContext):
     out_channels = outs[0] if outs else []
-    compute_tile = ctx.hardware.compute_tile
-    is_matmul = isinstance(op.fn, Matmul)
     single = ins[0] if len(ins) == 1 else None
+    #: input shapes -> element costs, for metadata-only inputs (whose result,
+    #: flops and cycles depend on nothing but their shapes); bounded by the
+    #: number of distinct shapes the operator sees
+    memo = {}
     while True:
         if single is not None:
             first = yield ("pop", single)
@@ -52,15 +54,41 @@ def map_executor(op: Map, ins: Sequence[Channel], outs: Sequence[Sequence[Channe
                 raise StreamProtocolError(
                     f"{ctx.op_name}: input streams desynchronized (data vs control)")
             values.append(token.value)
-        result = op.fn(*values)
-        flops = op.fn.flops(*values)
-        in_bytes = sum(value_nbytes(v) for v in values)
-        out_bytes = value_nbytes(result)
-        cycles = ctx.roofline_cycles(in_bytes, flops, out_bytes, op.compute_bw)
-        if is_matmul and isinstance(values[0], Tile) and isinstance(values[-1], Tile):
-            ctx.record_onchip(matmul_onchip_bytes(values[0], values[-1], None, compute_tile))
+        key = _shape_key(values)
+        if key is None:
+            costs = _element_costs(op, ctx, values)
+        else:
+            costs = memo.get(key)
+            if costs is None:
+                costs = memo[key] = _element_costs(op, ctx, values)
+        result, flops, cycles, onchip = costs
+        if onchip is not None:
+            ctx.record_onchip(onchip)
         ctx.record_element(cycles, flops)
         yield ("tick_push_all", cycles, out_channels, Data(result))
+
+
+def _shape_key(values) -> Optional[tuple]:
+    """The memo key of metadata-only tile inputs, or None if any carries data."""
+    key = []
+    for value in values:
+        if type(value) is not Tile or value.data is not None:
+            return None
+        key.append((value.rows, value.cols, value.dtype))
+    return tuple(key)
+
+
+def _element_costs(op: Map, ctx: OpContext, values: list) -> tuple:
+    """``(result, flops, cycles, on-chip bytes or None)`` of one Map element."""
+    result = op.fn(*values)
+    flops = op.fn.flops(*values)
+    in_bytes = sum(value_nbytes(v) for v in values)
+    out_bytes = value_nbytes(result)
+    cycles = ctx.roofline_cycles(in_bytes, flops, out_bytes, op.compute_bw)
+    onchip = None
+    if isinstance(op.fn, Matmul) and isinstance(values[0], Tile) and isinstance(values[-1], Tile):
+        onchip = matmul_onchip_bytes(values[0], values[-1], None, ctx.hardware.compute_tile)
+    return result, flops, cycles, onchip
 
 
 def accum_executor(op: Accum, ins: Sequence[Channel], outs: Sequence[Sequence[Channel]],

@@ -177,8 +177,10 @@ def eager_merge_executor(op: EagerMerge, ins: Sequence[Channel],
         # (e.g. the availability loop of dynamic parallelization) see them now.
         tokens = _emit_chunk(builder, items, op.rank) + builder.flush()
         yield ("tick_push_many", 1.0, data_outs, tokens)
-        yield push_all(selector_outs, Data(Selector(index, op.num_producers)))
+        if selector_outs:
+            yield push_all(selector_outs, Data(Selector(index, op.num_producers)))
         if finished:
             live.remove(index)
     yield push_tokens(data_outs, builder.done())
-    yield push_all(selector_outs, DONE)
+    if selector_outs:
+        yield push_all(selector_outs, DONE)

@@ -41,68 +41,74 @@ def flatten_executor(op: Flatten, ins: Sequence[Channel],
 
 def reshape_executor(op: Reshape, ins: Sequence[Channel],
                      outs: Sequence[Sequence[Channel]], ctx: OpContext):
+    # Only data elements and the final Done produce tokens: a builder's stop
+    # just folds into its pending boundary, so stops push nothing, and a port
+    # without consumers (often the padding indicator) is never pushed to.
     data_outs = outs[0] if outs else []
     pad_outs = outs[1] if len(outs) > 1 else []
     channel = ins[0]
     data_builder = OutputBuilder()
     pad_builder = OutputBuilder()
 
+    def stop(level: int) -> None:
+        data_builder.stop(level)
+        pad_builder.stop(level)
+
     if op.level == 0:
         count = 0
         while True:
             token = yield ("pop", channel)
             if isinstance(token, Data):
-                yield push_tokens(data_outs, data_builder.data(token.value))
-                yield push_tokens(pad_outs, pad_builder.data(False))
+                if data_outs:
+                    yield push_tokens(data_outs, data_builder.data(token.value))
+                if pad_outs:
+                    yield push_tokens(pad_outs, pad_builder.data(False))
                 count += 1
                 if count == op.chunk_size:
-                    yield push_tokens(data_outs, data_builder.stop(1))
-                    yield push_tokens(pad_outs, pad_builder.stop(1))
+                    stop(1)
                     count = 0
             elif isinstance(token, (Stop, Done)):
                 if count > 0:
                     while count < op.chunk_size:
-                        yield push_tokens(data_outs, data_builder.data(op.pad))
-                        yield push_tokens(pad_outs, pad_builder.data(True))
+                        if data_outs:
+                            yield push_tokens(data_outs, data_builder.data(op.pad))
+                        if pad_outs:
+                            yield push_tokens(pad_outs, pad_builder.data(True))
                         count += 1
                     count = 0
-                    yield push_tokens(data_outs, data_builder.stop(1))
-                    yield push_tokens(pad_outs, pad_builder.stop(1))
+                    stop(1)
                 if isinstance(token, Stop):
-                    yield push_tokens(data_outs, data_builder.stop(token.level + 1))
-                    yield push_tokens(pad_outs, pad_builder.stop(token.level + 1))
+                    stop(token.level + 1)
                 else:
-                    yield push_tokens(data_outs, data_builder.done())
-                    yield push_tokens(pad_outs, pad_builder.done())
-                    return
+                    break
     else:
         groups = 0
         while True:
             token = yield ("pop", channel)
             if isinstance(token, Data):
-                yield push_tokens(data_outs, data_builder.data(token.value))
-                yield push_tokens(pad_outs, pad_builder.data(False))
+                if data_outs:
+                    yield push_tokens(data_outs, data_builder.data(token.value))
+                if pad_outs:
+                    yield push_tokens(pad_outs, pad_builder.data(False))
             elif isinstance(token, Stop):
                 if token.level < op.level:
-                    yield push_tokens(data_outs, data_builder.stop(token.level))
-                    yield push_tokens(pad_outs, pad_builder.stop(token.level))
+                    stop(token.level)
                 elif token.level == op.level:
                     groups += 1
                     if groups == op.chunk_size:
-                        yield push_tokens(data_outs, data_builder.stop(op.level + 1))
-                        yield push_tokens(pad_outs, pad_builder.stop(op.level + 1))
+                        stop(op.level + 1)
                         groups = 0
                     else:
-                        yield push_tokens(data_outs, data_builder.stop(op.level))
-                        yield push_tokens(pad_outs, pad_builder.stop(op.level))
+                        stop(op.level)
                 else:
                     groups = 0
-                    yield push_tokens(data_outs, data_builder.stop(token.level + 1))
-                    yield push_tokens(pad_outs, pad_builder.stop(token.level + 1))
+                    stop(token.level + 1)
             elif isinstance(token, Done):
-                yield push_tokens(data_outs, data_builder.done())
-                yield push_tokens(pad_outs, pad_builder.done())
-                return
+                break
+    if data_outs:
+        yield push_tokens(data_outs, data_builder.done())
+    if pad_outs:
+        yield push_tokens(pad_outs, pad_builder.done())
 
 
 def promote_executor(op: Promote, ins: Sequence[Channel],

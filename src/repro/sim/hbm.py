@@ -169,21 +169,33 @@ class BankedHBM:
         """Issue a request starting at ``address``; returns the completion time."""
         if nbytes <= 0:
             return request_time + self.latency
-        bank_service = 0.0
-        offset = 0
-        while offset < nbytes:
-            burst = min(self.burst_bytes, nbytes - offset)
-            addr = address + offset
-            bank = (addr // self.row_bytes) % self.num_banks
-            row = addr // (self.row_bytes * self.num_banks)
-            if self._bank_open_row[bank] == row:
-                bank_service += self.t_row_hit
-                self.row_hits += 1
+        # Bursts start every burst_bytes from ``address``.  The bursts that
+        # start inside one row-sized block share its bank and row, so only the
+        # block's first burst can miss; cost each block in one step.  With
+        # integer timings the hit/miss sums equal the per-burst running sum.
+        burst_bytes = self.burst_bytes
+        row_bytes = self.row_bytes
+        num_banks = self.num_banks
+        open_row = self._bank_open_row
+        hits = misses = 0
+        addr = address
+        end = address + nbytes
+        while addr < end:
+            block = addr // row_bytes
+            limit = min((block + 1) * row_bytes, end)
+            count = -(-(limit - addr) // burst_bytes)
+            bank = block % num_banks
+            row = block // num_banks
+            if open_row[bank] == row:
+                hits += count
             else:
-                bank_service += self.t_row_miss
-                self.row_misses += 1
-                self._bank_open_row[bank] = row
-            offset += burst
+                misses += 1
+                hits += count - 1
+                open_row[bank] = row
+            addr += count * burst_bytes
+        self.row_hits += hits
+        self.row_misses += misses
+        bank_service = hits * self.t_row_hit + misses * self.t_row_miss
         # bank service across banks overlaps with bus transfer; we charge the
         # maximum of bus time and the average per-bank service time.
         bus_finish = self._bus.reserve(request_time, nbytes)

@@ -73,6 +73,11 @@ def default_cache_root() -> Path:
     return Path.home() / ".cache" / "repro" / "sweeps"
 
 
+#: exact types that canonicalize to themselves (subclasses such as IntEnum or
+#: numpy's float64 take the general path below)
+_PRIMITIVES = frozenset({int, float, str, bool, type(None)})
+
+
 def canonicalize(obj: Any) -> Any:
     """Recursively convert ``obj`` into a deterministic JSON-able structure.
 
@@ -81,6 +86,11 @@ def canonicalize(obj: Any) -> Any:
     their values; tuples/sets become lists (sets sorted); mapping keys are
     emitted in sorted order by :func:`stable_hash`'s ``sort_keys``.
     """
+    kind = type(obj)
+    if kind in _PRIMITIVES:
+        return obj
+    if kind is list or kind is tuple:
+        return [canonicalize(v) for v in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         tag = f"{type(obj).__module__}.{type(obj).__qualname__}"
         # compare=False fields (e.g. Platform.description) are presentation
