@@ -15,8 +15,10 @@ the same representative-deviation rule.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,21 +65,84 @@ def _expert_popularity(num_experts: int, skew: float, rng: np.random.Generator) 
 
 def generate_routing_trace(model: ModelConfig, batch_size: int, num_iterations: int = 16,
                            seed: int = 0, skew: Optional[float] = None) -> RoutingTrace:
-    """Generate top-k routing decisions for ``num_iterations`` decode steps."""
+    """Generate top-k routing decisions for ``num_iterations`` decode steps.
+
+    Each token's experts are the draw ``rng.choice(num_experts,
+    experts_per_token, replace=False, p=popularity)`` would make, computed by
+    :func:`_choice_without_replacement` without a numpy call per token.
+    """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     rng = np.random.default_rng(seed)
     skew = model.routing_skew if skew is None else skew
     popularity = _expert_popularity(model.num_experts, skew, rng)
-    iterations: List[Tuple[Tuple[int, ...], ...]] = []
-    for _ in range(num_iterations):
-        tokens: List[Tuple[int, ...]] = []
-        for _ in range(batch_size):
-            chosen = rng.choice(model.num_experts, size=model.experts_per_token,
-                                replace=False, p=popularity)
-            tokens.append(tuple(int(e) for e in sorted(chosen)))
-        iterations.append(tuple(tokens))
-    return RoutingTrace(model.num_experts, model.experts_per_token, tuple(iterations))
+    tokens = _choice_without_replacement(rng, popularity.tolist(), model.experts_per_token,
+                                         batch_size * num_iterations)
+    iterations = tuple(tuple(tokens[i * batch_size:(i + 1) * batch_size])
+                       for i in range(num_iterations))
+    return RoutingTrace(model.num_experts, model.experts_per_token, iterations)
+
+
+#: uniforms drawn from the generator per refill of the draw buffer
+_UNIFORM_BLOCK = 4096
+
+
+def _choice_without_replacement(rng: np.random.Generator, p: List[float], k: int,
+                                draws: int) -> List[Tuple[int, ...]]:
+    """``draws`` successive ``rng.choice(len(p), k, replace=False, p=p)``
+    results, each sorted, as pure Python.
+
+    A copy of numpy's algorithm: draw ``k - found`` uniforms, map each through
+    the normalized cumulative weights (``bisect_right`` is ``searchsorted(...,
+    side="right")``), keep the first occurrence of every new index, zero the
+    found indices' weights and redraw for the rest.  The same float operations
+    in the same order give bit-identical picks.  Uniforms are read from
+    blocks of ``rng.random``: a generator's doubles form one stream however
+    it is split, and ``rng`` is private to the caller, so reading ahead is
+    unobservable.
+    """
+    n = len(p)
+    if k > n:
+        raise ValueError("Cannot take a larger sample than population when replace is False")
+    if sum(1 for w in p if w > 0) < k:
+        raise ValueError("Fewer non-zero entries in p than size")
+    #: found indices (sorted) -> normalized cumulative weights without them
+    cdfs: Dict[Tuple[int, ...], List[float]] = {}
+
+    def cdf_without(found: Tuple[int, ...]) -> List[float]:
+        weights = list(p)
+        for index in found:
+            weights[index] = 0.0
+        sums = list(accumulate(weights))
+        total = sums[-1]
+        return [c / total for c in sums]
+
+    base = cdf_without(())
+    uniforms: List[float] = []
+    pos = 0
+    picks: List[Tuple[int, ...]] = []
+    for _ in range(draws):
+        chosen: List[int] = []
+        cdf = base
+        while True:
+            need = k - len(chosen)
+            if pos + need > len(uniforms):
+                uniforms = uniforms[pos:] + rng.random(max(need, _UNIFORM_BLOCK)).tolist()
+                pos = 0
+            for x in uniforms[pos:pos + need]:
+                index = bisect_right(cdf, x)
+                if index not in chosen:
+                    chosen.append(index)
+            pos += need
+            if len(chosen) == k:
+                break
+            found = tuple(sorted(chosen))
+            cdf = cdfs.get(found)
+            if cdf is None:
+                cdf = cdfs[found] = cdf_without(found)
+        chosen.sort()
+        picks.append(tuple(chosen))
+    return picks
 
 
 def expert_bin_counts(assignments: Sequence[Sequence[int]], num_experts: int) -> np.ndarray:

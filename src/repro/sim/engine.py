@@ -27,6 +27,33 @@ tuples, which the engine services synchronously:
 ``("time",)``          returns the current process clock.
 ====================  =====================================================
 
+Some effects may also complete *inline*, inside the executor, through the
+engine's ``pop_now`` / ``pop_any_now`` / ``push_now`` / ``tick_now`` /
+``tick_push_now`` helpers (the executors reach the engine through their
+``OpContext``):
+
+====================  =====================================================
+inline helper          completes inline unless
+====================  =====================================================
+``pop_now``            the queue is empty
+``pop_any_now``        every queue is empty
+``push_now``           a target lacks room for the whole run, or a
+                       backpressure bump is pending
+``tick_now``           (always completes)
+``tick_push_now``      as ``push_now``, checked before the tick
+====================  =====================================================
+
+and every helper declines once the process clock is past the horizon
+(:attr:`Engine.horizon`) of the process being advanced, because the scalar
+loop would have rescheduled the process before that effect.  A declined
+effect changes nothing and the executor yields it as usual.  An inline
+effect counts one event, like the effect it replaces.  When inline work moves
+the clock past the horizon, the executor's next effect declines and
+``_advance`` parks it right after the ``send`` that yielded it, exactly
+where a round-trip would have rescheduled.  Sink processes must not end on an
+inline effect that can overrun the horizon (none of the inlining executors
+is a sink).
+
 Processes run until they block; pushes and pops wake the relevant waiters, so
 scheduling work is proportional to the number of tokens moved.  The batched
 effects (``push_many`` / ``pop_each`` / ``pop_run``) move whole token runs per
@@ -61,6 +88,20 @@ _INF = float("inf")
 #: remainder was stored and the process re-enqueued).  Any other return value
 #: is the effect's result, sent into the generator on the next resume.
 _SUSPEND = object()
+
+#: returned by :meth:`Engine.pop_now` when the pop cannot complete inline
+MISS = object()
+
+
+def _room(process: "Process", channels: Sequence[Channel], tokens: Sequence) -> bool:
+    """Whether a push run completes without blocking or a backpressure bump."""
+    if process.was_backpressured:
+        return False
+    for channel in channels:
+        capacity = channel.capacity
+        if capacity is not None and len(channel.queue) + len(tokens) > capacity:
+            return False
+    return True
 
 
 class ProcessState(enum.Enum):
@@ -122,6 +163,10 @@ class Engine:
         self.time_slack = float(time_slack)
         self._events = 0
         self._sinks_pending = 0
+        #: the process being advanced and its horizon, for the inline effects
+        self.current: Optional[Process] = None
+        self.horizon = _INF
+
     # -- construction --------------------------------------------------------------
     def add_channel(self, name: str = "", capacity: Optional[int] = None,
                     latency: float = 1.0) -> Channel:
@@ -182,6 +227,7 @@ class Engine:
         hold the suspended processes back: without this, every engine would
         be cyclic garbage left for the collector.
         """
+        self.current = None
         for process in self.processes:
             if process.state is not ProcessState.DONE:
                 process.generator.close()
@@ -198,22 +244,22 @@ class Engine:
     # -- process advancement ------------------------------------------------------------
     def _advance(self, process: Process, horizon: float = _INF) -> None:
         """Run ``process`` until it blocks, finishes or overruns ``horizon``."""
+        self.current = process
+        self.horizon = horizon
         generator = process.generator
         send = generator.send
         handlers = self._HANDLERS
         timed = self.timed
         max_events = self.max_events
-        events = self._events
         runnable_state = ProcessState.RUNNABLE
         while True:
             if process.local_time > horizon and process.state is runnable_state:
                 # yield the CPU back to earlier-in-time processes
-                self._events = events
                 self._enqueue(process)
                 return
-            events += 1
-            if events > max_events:
-                self._events = events
+            # the counter lives on the engine: inline effects count themselves
+            self._events += 1
+            if self._events > max_events:
                 raise SimulationError(
                     f"exceeded the event budget ({self.max_events}); "
                     f"likely a livelock in the program graph")
@@ -226,9 +272,16 @@ class Engine:
                     process.pending_send = None
                     if process.is_sink:
                         self._sinks_pending -= 1
-                    self._events = events
                     return
                 process.pending_send = None
+                if process.local_time > horizon:
+                    # inline effects moved the clock past the horizon: the
+                    # scalar loop would have rescheduled before this effect,
+                    # so park it; its retry on resume counts its event
+                    process.pending_effect = effect
+                    self._events -= 1
+                    self._enqueue(process)
+                    return
             else:
                 process.pending_effect = None
 
@@ -236,19 +289,147 @@ class Engine:
             if kind == "tick":
                 if timed:
                     process.local_time += float(effect[1])
-                process.pending_send = None
                 continue
             try:
                 handler = handlers[kind]
             except KeyError:
-                self._events = events
                 raise SimulationError(
                     f"unknown effect {effect!r} from process {process.name}") from None
             result = handler(self, process, effect, horizon)
             if result is _SUSPEND:
-                self._events = events
                 return
             process.pending_send = result
+
+    # -- inline effects ------------------------------------------------------------------
+    # Called by executors *during* a send, on behalf of ``self.current``.  Each
+    # completes an effect exactly as its handler would and counts its event, or
+    # declines (changing nothing) when the effect could not complete right now
+    # without a scheduler decision; the executor then yields the effect.
+
+    def pop_now(self, channel: Channel):
+        """Inline ``("pop", channel)``; :data:`MISS` when the queue is empty or
+        the clock is past the horizon."""
+        process = self.current
+        queue = channel.queue
+        local = process.local_time
+        if not queue or local > self.horizon:
+            return MISS
+        ready, token = queue.popleft()
+        channel.total_popped += 1
+        if ready > local:
+            channel.last_pop_time = ready
+            if self.timed:
+                process.local_time = ready
+        else:
+            channel.last_pop_time = local
+        if channel.space_waiters:
+            self._wake_waiters(channel.space_waiters)
+        self._events += 1
+        return token
+
+    def pop_any_now(self, channels: Sequence[Channel]):
+        """Inline ``("pop_any", channels)``: ``(index, token)``, or :data:`MISS`
+        when every queue is empty or the clock is past the horizon."""
+        process = self.current
+        local = process.local_time
+        if local > self.horizon:
+            return MISS
+        best_index = -1
+        best_ready = _INF
+        for index, channel in enumerate(channels):
+            queue = channel.queue
+            if queue and (best_index < 0 or queue[0][0] < best_ready):
+                best_ready = queue[0][0]
+                best_index = index
+        if best_index < 0:
+            return MISS
+        channel = channels[best_index]
+        ready, token = channel.pop(local)
+        if self.timed and ready > local:
+            process.local_time = ready
+        if channel.space_waiters:
+            self._wake_waiters(channel.space_waiters)
+        self._events += 1
+        return (best_index, token)
+
+    def push_now(self, channels: Sequence[Channel], tokens: Sequence):
+        """Inline ``("push_many", channels, tokens)``: None once done, else the
+        effect to yield (clock past the horizon, a pending backpressure bump,
+        or a channel without room for the whole run)."""
+        process = self.current
+        local = process.local_time
+        if local > self.horizon or process.was_backpressured:
+            return ("push_many", channels, tokens)
+        if len(channels) != 1:
+            if not _room(process, channels, tokens):
+                return ("push_many", channels, tokens)
+            self._events += 1
+            if tokens:
+                self._append(local, channels, tokens)
+            return None
+        # one consumer, the common case: _room and _append, inlined
+        channel = channels[0]
+        queue = channel.queue
+        capacity = channel.capacity
+        if capacity is not None and len(queue) + len(tokens) > capacity:
+            return ("push_many", channels, tokens)
+        self._events += 1
+        if tokens:
+            ready = local + channel.latency
+            for token in tokens:
+                queue.append((ready, token))
+            channel.total_pushed += len(tokens)
+            if len(queue) > channel.max_occupancy:
+                channel.max_occupancy = len(queue)
+            if channel.data_waiters:
+                self._wake_waiters(channel.data_waiters)
+        return None
+
+    def tick_now(self, cycles: float):
+        """Inline ``("tick", cycles)``: None once done, else the effect to yield."""
+        process = self.current
+        if process.local_time > self.horizon:
+            return ("tick", cycles)
+        if self.timed:
+            process.local_time += float(cycles)
+        self._events += 1
+        return None
+
+    def tick_push_now(self, cycles: float, channels: Sequence[Channel], tokens: Sequence):
+        """Inline ``("tick_push_many", cycles, channels, tokens)``: None once done,
+        else the effect to yield.
+
+        The push is checked before the tick so a declined effect changes
+        nothing; a tick that overruns the horizon returns the push alone, which
+        :meth:`_advance` parks exactly where the handler would.
+        """
+        process = self.current
+        if process.local_time > self.horizon or not _room(process, channels, tokens):
+            return ("tick_push_many", cycles, channels, tokens)
+        self._events += 1
+        if self.timed:
+            process.local_time += float(cycles)
+            if process.local_time > self.horizon:
+                return ("push_many", channels, tokens)
+        if tokens:
+            self._append(process.local_time, channels, tokens)
+        return None
+
+    def _append(self, local: float, channels: Sequence[Channel], tokens: Sequence) -> None:
+        """Push a non-empty run :func:`_room` admitted, as the handler would."""
+        n = len(tokens)
+        for channel in channels:
+            queue = channel.queue
+            ready = local + channel.latency
+            if n == 1:
+                queue.append((ready, tokens[0]))
+            else:
+                queue.extend([(ready, token) for token in tokens])
+            channel.total_pushed += n
+            if len(queue) > channel.max_occupancy:
+                channel.max_occupancy = len(queue)
+            if channel.data_waiters:
+                self._wake_waiters(channel.data_waiters)
 
     # -- scalar effect implementations --------------------------------------------------
     def _do_push(self, process: Process, effect: tuple, horizon: float):

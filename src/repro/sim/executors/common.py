@@ -9,19 +9,26 @@ Executors receive
 * ``outs`` — a list of channels per output port (an output port may feed
   several consumers, in which case tokens are broadcast, or none),
 * an :class:`OpContext` carrying the hardware configuration, the metrics
-  collector and lowering-derived facts (whether inputs/outputs touch on-chip
-  memory).
+  collector, lowering-derived facts (whether inputs/outputs touch on-chip
+  memory) and the engine running the executor.
+
+Executors on the hot token paths first try each effect inline through
+:func:`inline_effects` and yield it only when the engine declines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ...core.dtypes import Tile, value_nbytes
 from ...core.stream import DONE, Data, Token, stop_token
 from ..channel import Channel
+from ..engine import MISS
 from ..metrics import SimMetrics
+
+if TYPE_CHECKING:
+    from ..engine import Engine
 
 
 @dataclass
@@ -59,6 +66,8 @@ class OpContext:
     outputs_to_memory: bool = False
     #: collected output tokens for program sinks (filled by collector/store executors)
     results: List[Token] = field(default_factory=list)
+    #: the engine running the executor (set by lowering), for inline effects
+    engine: Optional["Engine"] = field(default=None, repr=False, compare=False)
 
     # -- metric helpers ------------------------------------------------------------
     def record_element(self, cycles: float, flops: int = 0) -> None:
@@ -156,6 +165,51 @@ class OutputBuilder:
     @property
     def pending(self) -> Optional[int]:
         return self._pending
+
+
+def _decline_pop(channel_or_channels):
+    return MISS
+
+
+def _decline_push(channels: Sequence[Channel], tokens: Sequence[Token]) -> tuple:
+    return ("push_many", channels, tokens)
+
+
+def _decline_tick(cycles: float) -> tuple:
+    return ("tick", cycles)
+
+
+def _decline_tick_push(cycles: float, channels: Sequence[Channel],
+                       tokens: Sequence[Token]) -> tuple:
+    return ("tick_push_many", cycles, channels, tokens)
+
+
+#: stand-ins for the inline effects that always decline
+DECLINE = (_decline_pop, _decline_pop, _decline_push, _decline_tick, _decline_tick_push)
+
+
+def inline_effects(ctx: OpContext) -> tuple:
+    """``(pop, pop_any, push, tick, tick_push)``: the engine's inline effects.
+
+    ``pop(ch)`` and ``pop_any(chs)`` return what their effect would, or
+    :data:`~repro.sim.engine.MISS`; the others return None once done, else the
+    effect to yield instead.  Usage::
+
+        token = pop(channel)
+        if token is MISS:
+            token = yield ("pop", channel)
+        effect = push(out_channels, (token,))
+        if effect is not None:
+            yield effect
+
+    Without an engine on ``ctx`` (an executor driven by hand) every effect
+    declines, so the executor falls back to yielding.
+    """
+    engine = ctx.engine
+    if engine is None:
+        return DECLINE
+    return (engine.pop_now, engine.pop_any_now, engine.push_now, engine.tick_now,
+            engine.tick_push_now)
 
 
 def push_all(channels: Sequence[Channel], token: Token) -> tuple:

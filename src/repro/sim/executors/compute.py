@@ -5,9 +5,10 @@ Each data element is charged the Roofline latency of Section 4.3 —
 where the memory terms only apply when the operator's inputs/outputs actually
 cross on-chip memory (determined during lowering).
 
-Token movement uses the engine's batched effects: multi-input operators pop
-one aligned token per input in a single ``pop_each`` round-trip, and output
-runs are pushed with ``push_all``/``push_many``.
+Token movement completes inline where the engine allows (see
+:func:`~repro.sim.executors.common.inline_effects`) and otherwise uses the
+batched effects: multi-input operators pop one aligned token per input in a
+single ``pop_each`` round-trip, and output runs are pushed as one run.
 """
 
 from __future__ import annotations
@@ -20,33 +21,41 @@ from ...core.stream import DONE, Data, Done, Stop, Token, stop_token
 from ...ops.functions import Matmul, MatmulAccum
 from ...ops.higher_order import Accum, FlatMap, Map, Scan
 from ..channel import Channel
-from .common import OpContext, OutputBuilder, matmul_onchip_bytes, push_all, push_tokens
+from ..engine import MISS
+from .common import OpContext, OutputBuilder, inline_effects, matmul_onchip_bytes, push_all
 
 
 def map_executor(op: Map, ins: Sequence[Channel], outs: Sequence[Sequence[Channel]],
                  ctx: OpContext):
     out_channels = outs[0] if outs else []
     single = ins[0] if len(ins) == 1 else None
+    pop, _, push, _, tick_push = inline_effects(ctx)
     #: input shapes -> element costs, for metadata-only inputs (whose result,
     #: flops and cycles depend on nothing but their shapes); bounded by the
     #: number of distinct shapes the operator sees
     memo = {}
     while True:
         if single is not None:
-            first = yield ("pop", single)
+            first = pop(single)
+            if first is MISS:
+                first = yield ("pop", single)
             tokens = (first,)
         else:
             tokens = yield ("pop_each", ins)
             first = tokens[0]
         if isinstance(first, Done):
-            yield push_all(out_channels, DONE)
+            effect = push(out_channels, (DONE,))
+            if effect is not None:
+                yield effect
             return
         if isinstance(first, Stop):
             levels = [t.level for t in tokens if isinstance(t, Stop)]
             if len(levels) != len(tokens):
                 raise StreamProtocolError(
                     f"{ctx.op_name}: input streams desynchronized (stop vs data)")
-            yield push_all(out_channels, stop_token(max(levels)))
+            effect = push(out_channels, (stop_token(max(levels)),))
+            if effect is not None:
+                yield effect
             continue
         values = []
         for token in tokens:
@@ -55,17 +64,20 @@ def map_executor(op: Map, ins: Sequence[Channel], outs: Sequence[Sequence[Channe
                     f"{ctx.op_name}: input streams desynchronized (data vs control)")
             values.append(token.value)
         key = _shape_key(values)
-        if key is None:
+        costs = memo.get(key) if key is not None else None
+        if costs is None:
             costs = _element_costs(op, ctx, values)
-        else:
-            costs = memo.get(key)
-            if costs is None:
-                costs = memo[key] = _element_costs(op, ctx, values)
-        result, flops, cycles, onchip = costs
-        if onchip is not None:
-            ctx.record_onchip(onchip)
+            # the on-chip requirement is a running max: a memo hit would
+            # record the same bytes again
+            if costs[3] is not None:
+                ctx.record_onchip(costs[3])
+            if key is not None:
+                memo[key] = costs
+        result, flops, cycles, _ = costs
         ctx.record_element(cycles, flops)
-        yield ("tick_push_all", cycles, out_channels, Data(result))
+        effect = tick_push(cycles, out_channels, (Data(result),))
+        if effect is not None:
+            yield effect
 
 
 def _shape_key(values) -> Optional[tuple]:
@@ -95,27 +107,30 @@ def accum_executor(op: Accum, ins: Sequence[Channel], outs: Sequence[Sequence[Ch
                    ctx: OpContext):
     out_channels = outs[0] if outs else []
     channel = ins[0]
-    compute_tile = ctx.hardware.compute_tile
-    is_matmul_accum = isinstance(op.fn, MatmulAccum)
     state = op.fn.init()
     saw_value = False
+    pop, _, push, tick, tick_push = inline_effects(ctx)
+    #: (value shape, state shape) -> update costs, for metadata-only tiles
+    memo = {}
     while True:
-        token = yield ("pop", channel)
+        token = pop(channel)
+        if token is MISS:
+            token = yield ("pop", channel)
         if isinstance(token, Data):
             value = token.value
-            flops = op.fn.flops(value, state)
-            state = op.fn(value, state)
-            in_bytes = value_nbytes(value)
-            state_bytes = value_nbytes(state) if state is not None else 0
-            cycles = ctx.roofline_cycles(in_bytes, flops, 0.0, op.compute_bw)
-            if is_matmul_accum and isinstance(value, TupleValue):
-                ctx.record_onchip(matmul_onchip_bytes(
-                    value[0], value[1], state if isinstance(state, Tile) else None,
-                    compute_tile))
-            else:
-                # Accum keeps its (possibly dynamically sized) accumulator on chip.
-                ctx.record_onchip(state_bytes)
-            yield ("tick", cycles)
+            key = _accum_key(value, state)
+            costs = memo.get(key) if key is not None else None
+            if costs is None:
+                costs = _accum_costs(op, ctx, value, state)
+                # the on-chip requirement is a running max: a memo hit
+                # would record the same bytes again
+                ctx.record_onchip(costs[3])
+                if key is not None:
+                    memo[key] = costs
+            state, flops, cycles, _ = costs
+            effect = tick(cycles)
+            if effect is not None:
+                yield effect
             ctx.record_element(cycles, flops)
             saw_value = True
         elif isinstance(token, Stop):
@@ -123,18 +138,52 @@ def accum_executor(op: Accum, ins: Sequence[Channel], outs: Sequence[Sequence[Ch
                 if saw_value:
                     out_bytes = value_nbytes(state) if state is not None else 0
                     cycles = ctx.roofline_cycles(0.0, 0.0, out_bytes, op.compute_bw)
-                    yield ("tick_push_all", cycles, out_channels, Data(state))
+                    effect = tick_push(cycles, out_channels, (Data(state),))
+                    if effect is not None:
+                        yield effect
                 if token.level > op.rank:
-                    yield push_all(out_channels, stop_token(token.level - op.rank))
+                    effect = push(out_channels, (stop_token(token.level - op.rank),))
+                    if effect is not None:
+                        yield effect
                 state = op.fn.init()
                 saw_value = False
             # stops below the reduction rank are internal to the group
         elif isinstance(token, Done):
             if saw_value:
                 # streams that end without a trailing top-level stop
-                yield push_all(out_channels, Data(state))
-            yield push_all(out_channels, DONE)
+                effect = push(out_channels, (Data(state),))
+                if effect is not None:
+                    yield effect
+            effect = push(out_channels, (DONE,))
+            if effect is not None:
+                yield effect
             return
+
+
+def _accum_key(value, state) -> Optional[tuple]:
+    """The memo key of a metadata-only value and state, or None."""
+    if type(value) is not Tile or value.data is not None:
+        return None
+    if state is None:
+        return (value.rows, value.cols, value.dtype, None)
+    if type(state) is not Tile or state.data is not None:
+        return None
+    return (value.rows, value.cols, value.dtype, (state.rows, state.cols, state.dtype))
+
+
+def _accum_costs(op: Accum, ctx: OpContext, value, state) -> tuple:
+    """``(new state, flops, cycles, on-chip bytes)`` of one Accum update."""
+    flops = op.fn.flops(value, state)
+    new_state = op.fn(value, state)
+    cycles = ctx.roofline_cycles(value_nbytes(value), flops, 0.0, op.compute_bw)
+    if isinstance(op.fn, MatmulAccum) and isinstance(value, TupleValue):
+        onchip = matmul_onchip_bytes(
+            value[0], value[1], new_state if isinstance(new_state, Tile) else None,
+            ctx.hardware.compute_tile)
+    else:
+        # Accum keeps its (possibly dynamically sized) accumulator on chip.
+        onchip = value_nbytes(new_state) if new_state is not None else 0
+    return new_state, flops, cycles, onchip
 
 
 def scan_executor(op: Scan, ins: Sequence[Channel], outs: Sequence[Sequence[Channel]],
@@ -185,8 +234,11 @@ def flatmap_executor(op: FlatMap, ins: Sequence[Channel], outs: Sequence[Sequenc
     out_channels = outs[0] if outs else []
     channel = ins[0]
     builder = OutputBuilder()
+    pop, _, push, _, tick_push = inline_effects(ctx)
     while True:
-        token = yield ("pop", channel)
+        token = pop(channel)
+        if token is MISS:
+            token = yield ("pop", channel)
         if isinstance(token, Data):
             value = token.value
             pieces = op.fn(value)
@@ -199,11 +251,15 @@ def flatmap_executor(op: FlatMap, ins: Sequence[Channel], outs: Sequence[Sequenc
             # its expansion is closed by a stop of level `rank`.
             tokens = _emit_expansion(builder, pieces, op.rank)
             builder.stop(op.rank)
-            yield ("tick_push_many", cycles, out_channels, tokens)
+            effect = tick_push(cycles, out_channels, tokens)
+            if effect is not None:
+                yield effect
         elif isinstance(token, Stop):
             builder.stop(token.level + op.rank)
         elif isinstance(token, Done):
-            yield push_tokens(out_channels, builder.done())
+            effect = push(out_channels, builder.done())
+            if effect is not None:
+                yield effect
             return
 
 

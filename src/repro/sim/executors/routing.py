@@ -17,7 +17,8 @@ from ...core.errors import StreamProtocolError
 from ...core.stream import DONE, Data, Done, Stop, Token
 from ...ops.routing import EagerMerge, Partition, Reassemble
 from ..channel import Channel
-from .common import OpContext, OutputBuilder, push_all, push_tokens
+from ..engine import MISS
+from .common import OpContext, OutputBuilder, inline_effects, push_all, push_tokens
 
 
 def _selected_indices(value, num_targets: int) -> List[int]:
@@ -35,11 +36,16 @@ def partition_executor(op: Partition, ins: Sequence[Channel],
     data_channel, selector_channel = ins
     builders = [OutputBuilder() for _ in range(op.num_consumers)]
     input_done = False
+    pop, _, push, tick, _ = inline_effects(ctx)
     while True:
-        token = yield ("pop", selector_channel)
+        token = pop(selector_channel)
+        if token is MISS:
+            token = yield ("pop", selector_channel)
         if isinstance(token, Done):
             for consumer, builder in enumerate(builders):
-                yield push_tokens(outs[consumer], builder.done())
+                effect = push(outs[consumer], builder.done())
+                if effect is not None:
+                    yield effect
             return
         if isinstance(token, Stop):
             # the selector's outer structure is flattened into each branch's
@@ -49,7 +55,9 @@ def partition_executor(op: Partition, ins: Sequence[Channel],
         # collect one chunk: everything up to the first stop of level >= rank
         chunk: List[Token] = []
         while not input_done:
-            item = yield ("pop", data_channel)
+            item = pop(data_channel)
+            if item is MISS:
+                item = yield ("pop", data_channel)
             if isinstance(item, Done):
                 input_done = True
                 break
@@ -62,10 +70,14 @@ def partition_executor(op: Partition, ins: Sequence[Channel],
             # availability feedback produces more selectors than there is work:
             # close every branch so downstream pipelines can finish.
             for consumer, builder in enumerate(builders):
-                yield push_tokens(outs[consumer], builder.done())
+                effect = push(outs[consumer], builder.done())
+                if effect is not None:
+                    yield effect
             return
         ctx.record_element(1.0)
-        yield ("tick", 1.0)
+        effect = tick(1.0)
+        if effect is not None:
+            yield effect
         for target in targets:
             builder = builders[target]
             tokens: List[Token] = []
@@ -80,20 +92,25 @@ def partition_executor(op: Partition, ins: Sequence[Channel],
             # pipelines — including the dynamic-parallelization feedback loop —
             # must observe the chunk boundary to make progress.
             tokens.extend(builder.flush())
-            yield push_tokens(outs[target], tokens)
+            effect = push(outs[target], tokens)
+            if effect is not None:
+                yield effect
 
 
-def _collect_chunk(channel: Channel, rank: int, first: Optional[Token] = None):
+def _collect_chunk(channel: Channel, rank: int, first: Optional[Token], pop):
     """Pop one chunk (data up to the first stop >= rank) from ``channel``.
 
     Returns ``(items, finished)`` where ``finished`` is True when the stream's
-    Done token was reached while collecting.
+    Done token was reached while collecting.  ``pop`` is the executor's
+    inline pop.
     """
     items: List[Token] = []
     token = first
     while True:
         if token is None:
-            token = yield ("pop", channel)
+            token = pop(channel)
+            if token is MISS:
+                token = yield ("pop", channel)
         if isinstance(token, Done):
             return items, True
         if isinstance(token, Stop):
@@ -128,10 +145,15 @@ def reassemble_executor(op: Reassemble, ins: Sequence[Channel],
     selector_channel = ins[-1]
     out_channels = outs[0] if outs else []
     builder = OutputBuilder()
+    pop, pop_any, push, tick, _ = inline_effects(ctx)
     while True:
-        token = yield ("pop", selector_channel)
+        token = pop(selector_channel)
+        if token is MISS:
+            token = yield ("pop", selector_channel)
         if isinstance(token, Done):
-            yield push_tokens(out_channels, builder.done())
+            effect = push(out_channels, builder.done())
+            if effect is not None:
+                yield effect
             return
         if isinstance(token, Stop):
             builder.stop(token.level + op.rank + 1)
@@ -144,13 +166,20 @@ def reassemble_executor(op: Reassemble, ins: Sequence[Channel],
             else:
                 # collect from whichever selected input has data available first
                 chans = [data_channels[i] for i in remaining]
-                which, first = yield ("pop_any", chans)
+                picked = pop_any(chans)
+                if picked is MISS:
+                    picked = yield ("pop_any", chans)
+                which, first = picked
                 index = remaining[which]
-            items, _ = yield from _collect_chunk(data_channels[index], op.rank, first)
-            yield push_tokens(out_channels, _emit_chunk(builder, items, op.rank))
+            items, _ = yield from _collect_chunk(data_channels[index], op.rank, first, pop)
+            effect = push(out_channels, _emit_chunk(builder, items, op.rank))
+            if effect is not None:
+                yield effect
             remaining = [i for i in remaining if i != index]
         ctx.record_element(1.0)
-        yield ("tick", 1.0)
+        effect = tick(1.0)
+        if effect is not None:
+            yield effect
         # after draining every selected input, the group closes one level up
         builder.stop(op.rank + 1)
 
@@ -161,6 +190,7 @@ def eager_merge_executor(op: EagerMerge, ins: Sequence[Channel],
     selector_outs = outs[1] if len(outs) > 1 else []
     builder = OutputBuilder()
     live = list(range(op.num_producers))
+    pop = inline_effects(ctx)[0]
     while live:
         chans = [ins[i] for i in live]
         which, first = yield ("pop_any", chans)
@@ -171,7 +201,7 @@ def eager_merge_executor(op: EagerMerge, ins: Sequence[Channel],
         if isinstance(first, Stop):
             # outer structure of the input streams is flattened away
             continue
-        items, finished = yield from _collect_chunk(ins[index], op.rank, first)
+        items, finished = yield from _collect_chunk(ins[index], op.rank, first, pop)
         ctx.record_element(1.0)
         # As in Partition, chunk terminators are flushed eagerly so consumers
         # (e.g. the availability loop of dynamic parallelization) see them now.

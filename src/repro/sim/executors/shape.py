@@ -14,7 +14,8 @@ from ...core.errors import StreamProtocolError
 from ...core.stream import DONE, Data, Done, Stop, stop_token
 from ...ops.shape_ops import Expand, Flatten, Promote, Repeat, Reshape, Zip
 from ..channel import Channel
-from .common import OpContext, OutputBuilder, push_all, push_tokens
+from ..engine import MISS
+from .common import OpContext, OutputBuilder, inline_effects, push_all, push_tokens
 
 
 def flatten_executor(op: Flatten, ins: Sequence[Channel],
@@ -22,21 +23,29 @@ def flatten_executor(op: Flatten, ins: Sequence[Channel],
     out_channels = outs[0] if outs else []
     channel = ins[0]
     span = op.max_level - op.min_level
+    pop, _, push, _, _ = inline_effects(ctx)
     while True:
-        token = yield ("pop", channel)
+        token = pop(channel)
+        if token is MISS:
+            token = yield ("pop", channel)
         if isinstance(token, Data):
-            yield push_all(out_channels, token)
+            out = token
         elif isinstance(token, Stop):
             level = token.level
             if level <= op.min_level:
-                yield push_all(out_channels, token)
+                out = token
             elif level <= op.max_level:
-                pass  # interior boundaries of the flattened range disappear
+                continue  # interior boundaries of the flattened range disappear
             else:
-                yield push_all(out_channels, stop_token(level - span))
+                out = stop_token(level - span)
         elif isinstance(token, Done):
-            yield push_all(out_channels, DONE)
+            effect = push(out_channels, (DONE,))
+            if effect is not None:
+                yield effect
             return
+        effect = push(out_channels, (out,))
+        if effect is not None:
+            yield effect
 
 
 def reshape_executor(op: Reshape, ins: Sequence[Channel],
@@ -49,6 +58,7 @@ def reshape_executor(op: Reshape, ins: Sequence[Channel],
     channel = ins[0]
     data_builder = OutputBuilder()
     pad_builder = OutputBuilder()
+    pop, _, push, _, _ = inline_effects(ctx)
 
     def stop(level: int) -> None:
         data_builder.stop(level)
@@ -57,12 +67,18 @@ def reshape_executor(op: Reshape, ins: Sequence[Channel],
     if op.level == 0:
         count = 0
         while True:
-            token = yield ("pop", channel)
+            token = pop(channel)
+            if token is MISS:
+                token = yield ("pop", channel)
             if isinstance(token, Data):
                 if data_outs:
-                    yield push_tokens(data_outs, data_builder.data(token.value))
+                    effect = push(data_outs, data_builder.data(token.value))
+                    if effect is not None:
+                        yield effect
                 if pad_outs:
-                    yield push_tokens(pad_outs, pad_builder.data(False))
+                    effect = push(pad_outs, pad_builder.data(False))
+                    if effect is not None:
+                        yield effect
                 count += 1
                 if count == op.chunk_size:
                     stop(1)
@@ -71,9 +87,13 @@ def reshape_executor(op: Reshape, ins: Sequence[Channel],
                 if count > 0:
                     while count < op.chunk_size:
                         if data_outs:
-                            yield push_tokens(data_outs, data_builder.data(op.pad))
+                            effect = push(data_outs, data_builder.data(op.pad))
+                            if effect is not None:
+                                yield effect
                         if pad_outs:
-                            yield push_tokens(pad_outs, pad_builder.data(True))
+                            effect = push(pad_outs, pad_builder.data(True))
+                            if effect is not None:
+                                yield effect
                         count += 1
                     count = 0
                     stop(1)
@@ -84,12 +104,18 @@ def reshape_executor(op: Reshape, ins: Sequence[Channel],
     else:
         groups = 0
         while True:
-            token = yield ("pop", channel)
+            token = pop(channel)
+            if token is MISS:
+                token = yield ("pop", channel)
             if isinstance(token, Data):
                 if data_outs:
-                    yield push_tokens(data_outs, data_builder.data(token.value))
+                    effect = push(data_outs, data_builder.data(token.value))
+                    if effect is not None:
+                        yield effect
                 if pad_outs:
-                    yield push_tokens(pad_outs, pad_builder.data(False))
+                    effect = push(pad_outs, pad_builder.data(False))
+                    if effect is not None:
+                        yield effect
             elif isinstance(token, Stop):
                 if token.level < op.level:
                     stop(token.level)
@@ -106,9 +132,13 @@ def reshape_executor(op: Reshape, ins: Sequence[Channel],
             elif isinstance(token, Done):
                 break
     if data_outs:
-        yield push_tokens(data_outs, data_builder.done())
+        effect = push(data_outs, data_builder.done())
+        if effect is not None:
+            yield effect
     if pad_outs:
-        yield push_tokens(pad_outs, pad_builder.done())
+        effect = push(pad_outs, pad_builder.done())
+        if effect is not None:
+            yield effect
 
 
 def promote_executor(op: Promote, ins: Sequence[Channel],
@@ -117,24 +147,39 @@ def promote_executor(op: Promote, ins: Sequence[Channel],
     channel = ins[0]
     held: Optional[int] = None
     saw_data = False
+    pop, _, push, _, _ = inline_effects(ctx)
     while True:
-        token = yield ("pop", channel)
+        token = pop(channel)
+        if token is MISS:
+            token = yield ("pop", channel)
         if isinstance(token, Data):
             if held is not None:
-                yield push_all(out_channels, stop_token(held))
+                effect = push(out_channels, (stop_token(held),))
+                if effect is not None:
+                    yield effect
                 held = None
             saw_data = True
-            yield push_all(out_channels, token)
+            effect = push(out_channels, (token,))
+            if effect is not None:
+                yield effect
         elif isinstance(token, Stop):
             if held is not None:
-                yield push_all(out_channels, stop_token(held))
+                effect = push(out_channels, (stop_token(held),))
+                if effect is not None:
+                    yield effect
             held = token.level
         elif isinstance(token, Done):
             if held is not None:
-                yield push_all(out_channels, stop_token(held + 1))
+                effect = push(out_channels, (stop_token(held + 1),))
+                if effect is not None:
+                    yield effect
             elif saw_data:
-                yield push_all(out_channels, stop_token(1))
-            yield push_all(out_channels, DONE)
+                effect = push(out_channels, (stop_token(1),))
+                if effect is not None:
+                    yield effect
+            effect = push(out_channels, (DONE,))
+            if effect is not None:
+                yield effect
             return
 
 

@@ -128,6 +128,7 @@ def lower(program: Program, inputs: Optional[Dict[str, Sequence[Token]]] = None,
             hardware=hardware,
             inputs_from_memory=_inputs_from_memory(op),
             outputs_to_memory=_outputs_to_memory(op, consumer_kinds),
+            engine=engine,
         )
         contexts[op.name] = ctx
         ins = in_channels.get(op.node_id, [])

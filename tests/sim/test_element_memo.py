@@ -4,6 +4,9 @@
   shapes of metadata-only inputs.  Runs with the memo must match runs that
   compute every element afresh (the memo monkeypatched away), and the memo
   holds one entry per distinct input shape.
+* Accum memoizes each update's (state, flops, cycles, on-chip bytes) on the
+  (value shape, state shape) pair of metadata-only tiles, under the same
+  contract.
 * Reshape pushes nothing for builder calls that produce no tokens (its stops)
   nor to a port without consumers (often the padding indicator).
 """
@@ -21,8 +24,9 @@ from repro.core.graph import InputStream, Program
 from repro.core.shape import StreamShape
 from repro.core.stream import Data, Stop, tokens_from_nested
 from repro.data.expert_routing import generate_routing_trace, representative_iteration
-from repro.ops import Map, Reshape
-from repro.ops.functions import ElemAdd, Scale
+from repro.ops import Accum, Map, Reshape, Zip
+from repro.ops.functions import (ElemAdd, MatmulAccum, RetileCol, RetileRow, Scale,
+                                 SumAccum)
 from repro.schedules import Schedule, parallelization
 from repro.sim import simulate
 from repro.sim.engine import Engine
@@ -114,6 +118,99 @@ class TestMapMemo:
         assert values == [2.0, 4.0, 6.0]
 
 
+MOE_LAYER_SCHEDULES = MOE_SCHEDULES + [
+    Schedule.dynamic("timemux-2", num_experts=MODEL.num_experts, timemux_regions=2)]
+
+
+def _counting_accum_costs(monkeypatch):
+    """Wrap Accum's update costing; the (value, state) pairs it was asked for."""
+    computed = []
+    accum_costs = compute._accum_costs
+
+    def counting(op, ctx, value, state):
+        computed.append((value, state))
+        return accum_costs(op, ctx, value, state)
+
+    monkeypatch.setattr(compute, "_accum_costs", counting)
+    return computed
+
+
+def _meta_key(tile):
+    return None if tile is None else (tile.rows, tile.cols, tile.dtype.name)
+
+
+def _accum_program(groups, fn, dtype="bf16"):
+    x = InputStream(StreamShape([len(groups), Dim.ragged("L")]),
+                    TileType(Dim.dynamic("R"), Dim.dynamic("C"), dtype), name="in").stream
+    out = Accum(x, fn, rank=1, compute_bw=64).output
+    return Program([out], name="accum-memo"), {"in": tokens_from_nested(groups, 1)}, out
+
+
+class TestAccumMemo:
+    @pytest.mark.parametrize("schedule", MOE_LAYER_SCHEDULES, ids=lambda s: s.name)
+    def test_moe_layers_match_uncached(self, schedule, monkeypatch):
+        memoized = _run(_moe_workload(), schedule)
+        monkeypatch.setattr(compute, "_accum_key", lambda value, state: None)
+        assert _run(_moe_workload(), schedule) == memoized
+
+    def test_k_shape_pairs_are_costed_k_times(self, monkeypatch):
+        computed = _counting_accum_costs(monkeypatch)
+        # SumAccum: the state takes the value's shape, so each group shape
+        # brings two pairs (empty state, then equal state); RetileRow and
+        # RetileCol grow the state a row or a column at a time
+        groups = [[Tile.meta(2, 8)] * 3, [Tile.meta(4, 8)] * 2, [Tile.meta(2, 8)] * 4,
+                  [Tile.meta(2, 8, "f32")] * 2, [Tile.meta(4, 8)]]
+        program, inputs, out = _accum_program(groups, SumAccum())
+        report = simulate(program, inputs)
+        pairs = [(_meta_key(v), _meta_key(s)) for v, s in computed]
+        assert len(pairs) == len(set(pairs)) == 6
+        sums = [_meta_key(t.value) for t in report.output_tokens(out.name)
+                if isinstance(t, Data)]
+        assert sums == [_meta_key(group[0]) for group in groups]
+
+        computed.clear()
+        rows = [[Tile.meta(1, 8)] * n for n in (3, 1, 4, 2)]
+        program, inputs, out = _accum_program(rows, RetileRow())
+        report = simulate(program, inputs)
+        assert len(computed) == 4  # states of 0, 1, 2 and 3 rows
+        packed = [t.value.rows for t in report.output_tokens(out.name) if isinstance(t, Data)]
+        assert packed == [3, 1, 4, 2]
+
+        computed.clear()
+        cols = [[Tile.meta(4, 1)] * n for n in (2, 3)]
+        program, inputs, out = _accum_program(cols, RetileCol())
+        report = simulate(program, inputs)
+        assert len(computed) == 3  # states of 0, 1 and 2 columns
+        packed = [t.value.cols for t in report.output_tokens(out.name) if isinstance(t, Data)]
+        assert packed == [2, 3]
+
+    def test_payload_tiles_skip_the_memo(self, monkeypatch):
+        computed = _counting_accum_costs(monkeypatch)
+        groups = [[Tile.from_array([[float(v), 1.0]]) for v in values]
+                  for values in ((1, 2, 3), (4, 5))]
+        program, inputs, out = _accum_program(groups, SumAccum(), dtype="f32")
+        report = simulate(program, inputs)
+        assert len(computed) == 5
+        sums = [t.value.to_array()[0, 0] for t in report.output_tokens(out.name)
+                if isinstance(t, Data)]
+        assert sums == [6.0, 9.0]
+
+    def test_matmul_accum_tuples_skip_the_memo(self, monkeypatch):
+        computed = _counting_accum_costs(monkeypatch)
+        shape = StreamShape([2, Dim.ragged("K")])
+        a = InputStream(shape, TileType(2, 4), name="a").stream
+        b = InputStream(shape, TileType(4, 3), name="b").stream
+        out = Accum(Zip(a, b).output, MatmulAccum(), rank=1, compute_bw=64).output
+        steps = (3, 2)
+        report = simulate(Program([out], name="matmul-accum"), {
+            "a": tokens_from_nested([[Tile.meta(2, 4)] * n for n in steps], 1),
+            "b": tokens_from_nested([[Tile.meta(4, 3)] * n for n in steps], 1)})
+        assert len(computed) == sum(steps)
+        products = [(t.value.rows, t.value.cols) for t in report.output_tokens(out.name)
+                    if isinstance(t, Data)]
+        assert products == [(2, 3), (2, 3)]
+
+
 #: (cycles, data structure, padding indicators) of the reshape programs below,
 #: captured before Reshape stopped pushing empty runs and unconsumed ports
 PINNED_RESHAPE = {
@@ -134,7 +231,8 @@ def _structure(tokens, values=False):
 
 
 def _recording_pushes(monkeypatch):
-    """Wrap the engine's push handlers; the list of push effects they saw."""
+    """Wrap the engine's push handlers and inline pushes; the push effects
+    they saw (an inline push is recorded as the effect it completes)."""
     seen = []
     handlers = dict(Engine._HANDLERS)
     for kind in ("push", "push_all", "push_many", "tick_push_all", "tick_push_many"):
@@ -143,6 +241,22 @@ def _recording_pushes(monkeypatch):
             return handler(engine, process, effect, horizon)
         handlers[kind] = wrapped
     monkeypatch.setattr(Engine, "_HANDLERS", handlers)
+    push_now, tick_push_now = Engine.push_now, Engine.tick_push_now
+
+    def inline_push(engine, channels, tokens):
+        declined = push_now(engine, channels, tokens)
+        if declined is None:
+            seen.append(("push_many", channels, tokens))
+        return declined
+
+    def inline_tick_push(engine, cycles, channels, tokens):
+        declined = tick_push_now(engine, cycles, channels, tokens)
+        if declined is None:
+            seen.append(("tick_push_many", cycles, channels, tokens))
+        return declined
+
+    monkeypatch.setattr(Engine, "push_now", inline_push)
+    monkeypatch.setattr(Engine, "tick_push_now", inline_tick_push)
     return seen
 
 

@@ -2,7 +2,7 @@
 
 Where ``test_engine_scheduling.py`` pins hand-picked edge cases, these tests
 sweep ~50 *randomly generated* configurations (all derived from fixed seeds,
-so failures reproduce exactly) and assert the engine's three load-bearing
+so failures reproduce exactly) and assert the engine's four load-bearing
 invariants:
 
 * **determinism** — a simulation is a pure function of (program, inputs,
@@ -15,19 +15,27 @@ invariants:
   capacities, latencies, tick costs),
 * **conservation** — tokens are neither lost nor duplicated: for every
   channel, ``total_pushed == total_popped + len(queue)`` when the run ends,
-  and every program sink must have drained its output channel completely.
+  and every program sink must have drained its output channel completely,
+* **inline-vs-round-trip equivalence** — effects the executors complete
+  inline give the same reports, per-operator stats, outputs and event counts
+  as yielding every one of them to the engine.
 """
 
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.stream import DONE, Data, Done
 from repro.data.expert_routing import generate_routing_trace, representative_iteration
 from repro.schedules import Schedule, parallelization
-from repro.sim.engine import Engine
+from repro.sim.engine import MISS, Engine
+from repro.sim.executors.common import DECLINE, OpContext
+from repro.sim.executors.shape import flatten_executor
+from repro.sim.executors.sources import collector
 from repro.sim.lowering import lower
+from repro.sim.runner import SimReport
 from repro.workloads.attention import AttentionConfig, build_attention_layer
 from repro.workloads.configs import QWEN3_30B_A3B, scaled_config, sda_hardware
 from repro.workloads.moe import MoELayerConfig, build_moe_layer
@@ -239,3 +247,110 @@ class TestRandomPipelineEquivalence:
             return got, proc.local_time
 
         assert run(True) == run(False), f"seed {seed}: pop_each diverged"
+
+
+# ---------------------------------------------------------------------------
+# Inline-vs-round-trip equivalence
+# ---------------------------------------------------------------------------
+
+def _decline_inline_effects(monkeypatch):
+    """The oracle: every inline effect declines, so executors yield them all."""
+    pop, pop_any, push, tick, tick_push = DECLINE
+    monkeypatch.setattr(Engine, "pop_now", lambda engine, channel: pop(channel))
+    monkeypatch.setattr(Engine, "pop_any_now", lambda engine, channels: pop_any(channels))
+    monkeypatch.setattr(Engine, "push_now",
+                        lambda engine, channels, tokens: push(channels, tokens))
+    monkeypatch.setattr(Engine, "tick_now", lambda engine, cycles: tick(cycles))
+    monkeypatch.setattr(Engine, "tick_push_now",
+                        lambda engine, cycles, channels, tokens:
+                        tick_push(cycles, channels, tokens))
+
+
+def _observe(seed: int, capacity, timed: bool, time_slack: float):
+    """Everything a run exposes: report, per-op stats, outputs and events."""
+    _, built, inputs = _random_workload(seed)
+    hardware = replace(sda_hardware(), channel_capacity=capacity)
+    lowered = lower(built.program, inputs=inputs, hardware=hardware, timed=timed)
+    lowered.engine.time_slack = time_slack
+    metrics = lowered.run()
+    report = SimReport(cycles=metrics.cycles, metrics=metrics, hardware=hardware)
+    per_op = {name: vars(stats).copy() for name, stats in metrics.per_op.items()}
+    outputs = {name: lowered.output_tokens(name) for name in lowered.sink_contexts}
+    return report.to_dict(), per_op, outputs, metrics.events
+
+
+#: (capacity, timed, time_slack) cases, each run over a few random workloads
+INLINE_CASES = [(capacity, timed, slack)
+                for capacity in (None, 4)
+                for timed in (True, False)
+                for slack in (0.0, 1.0, 200.0)]
+
+
+class TestInlineEffects:
+    """Effects completed inside an executor (``Engine.pop_now`` and friends)
+    are observationally identical to yielding them to the engine: the same
+    report, per-operator metrics, outputs and event count (an inline effect
+    counts as the effect it replaces)."""
+
+    @pytest.mark.parametrize("capacity,timed,time_slack", INLINE_CASES)
+    @pytest.mark.parametrize("seed", WORKLOAD_SEEDS[:10])
+    def test_inline_matches_round_trips(self, seed, capacity, timed, time_slack,
+                                        monkeypatch):
+        completed = []
+        pop_now = Engine.pop_now
+
+        def counting_pop(engine, channel):
+            token = pop_now(engine, channel)
+            completed.append(token is not MISS)
+            return token
+
+        monkeypatch.setattr(Engine, "pop_now", counting_pop)
+        inline = _observe(seed, capacity, timed, time_slack)
+        assert any(completed), "no pop completed inline"
+        _decline_inline_effects(monkeypatch)
+        assert _observe(seed, capacity, timed, time_slack) == inline
+
+    def test_pop_overrunning_the_horizon_parks_the_next_effect(self, monkeypatch):
+        """An inline pop that jumps the clock past the horizon mid-run: the
+        executor's next effect declines and is parked after the send, where
+        the scalar loop would have rescheduled between the two effects."""
+        overruns = []
+        pop_now = Engine.pop_now
+
+        def watching_pop(engine, channel):
+            token = pop_now(engine, channel)
+            if token is not MISS and engine.current.local_time > engine.horizon:
+                overruns.append(token)
+            return token
+
+        monkeypatch.setattr(Engine, "pop_now", watching_pop)
+        inline = self._flatten_against_a_ticker()
+        assert overruns, "no inline pop overran the horizon"
+        _decline_inline_effects(monkeypatch)
+        assert self._flatten_against_a_ticker() == inline
+
+    @staticmethod
+    def _flatten_against_a_ticker():
+        engine = Engine(timed=True, time_slack=0.0)
+        source = engine.add_channel("source", latency=0.0)
+        out = engine.add_channel("out")
+        # tokens visible at cycles 0, 0, 50, 50, 51 and 60: the third pop
+        # moves the flatten's clock far past the ticker's
+        for value, ready in enumerate((0.0, 0.0, 50.0, 50.0, 51.0)):
+            source.push(Data(value), ready)
+        source.push(DONE, 60.0)
+
+        def ticker():
+            for _ in range(80):
+                yield ("tick", 1)
+
+        hardware = sda_hardware()
+        flatten_ctx = OpContext("flatten", engine.metrics, hardware, engine=engine)
+        collect_ctx = OpContext("collect", engine.metrics, hardware)
+        engine.add_process("ticker", ticker())
+        engine.add_process("flatten", flatten_executor(
+            SimpleNamespace(min_level=0, max_level=1), [source], [[out]], flatten_ctx))
+        engine.add_process("collect", collector([out], collect_ctx), is_sink=True)
+        metrics = engine.run()
+        return (metrics.cycles, metrics.events, collect_ctx.results,
+                [(p.name, p.local_time) for p in engine.processes])
