@@ -32,7 +32,7 @@ metrics*.  This package expresses that pattern once, in declarative layers:
 5. **Experiments** (:mod:`repro.api.experiment`) — an :class:`ExperimentSpec`
    wraps a scenario grid, a parametric :class:`~repro.sweep.SweepSpec` (the
    serving load studies) or a native figure entry point in one serializable
-   record; :func:`experiment` resolves figures, scenarios, bench cases and
+   record; :func:`experiment` resolves figures, scenarios and
    ``"serve-latency"`` by name and :func:`run_experiment` executes any of
    them uniformly.
 

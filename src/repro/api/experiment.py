@@ -7,8 +7,8 @@ not pre-built workloads), or a native figure entry point with bespoke
 post-processing (the Figure 8 two-simulator validation).  ``ExperimentSpec``
 captures all three shapes in one JSON-round-trippable record, and
 :func:`experiment` resolves a name — registered experiments, registered
-scenarios, bench cases and figure ids all share the namespace — into a spec
-you can inspect, serialize, modify and :func:`run_experiment`.
+scenarios and figure ids all share the namespace — into a spec you can
+inspect, serialize, modify and :func:`run_experiment`.
 
 The payload kinds:
 
@@ -136,8 +136,8 @@ class _ExperimentEntry:
     description: str
 
 
-#: experiment name -> entry; shares its namespace with scenarios, bench cases
-#: and figure ids (resolution order of :func:`experiment`)
+#: experiment name -> entry; shares its namespace with scenarios and figure
+#: ids (resolution order of :func:`experiment`)
 EXPERIMENTS: Dict[str, _ExperimentEntry] = {}
 
 
@@ -170,10 +170,9 @@ def experiment(name: str, **overrides) -> ExperimentSpec:
     """Resolve ``name`` into an :class:`ExperimentSpec` (with factory overrides).
 
     Resolution order: registered experiments (every figure plus
-    ``"serve-latency"``), registered scenarios (wrapped as scenario-payload
-    specs), bench cases (their scenario at the ``scale`` override, default
-    ``"smoke"``).  Figure experiments accept both spellings: ``"figure15"``
-    and the bare CLI id ``"15"``.
+    ``"serve-latency"``), then registered scenarios (wrapped as
+    scenario-payload specs).  Figure experiments accept both spellings:
+    ``"figure15"`` and the bare CLI id ``"15"``.
     """
     _load_experiment_library()
     alias = f"figure{name}" if name.isdigit() else name
@@ -183,39 +182,21 @@ def experiment(name: str, **overrides) -> ExperimentSpec:
         return ExperimentSpec(name=alias,
                               description=scenario_descriptions().get(alias, ""),
                               scenario=get_scenario(alias, **overrides))
-    from ..bench.suite import CASES
-    if name in CASES:
-        case = CASES[name]
-        scale = overrides.pop("scale", "smoke")
-        if overrides:
-            raise ConfigError(f"bench-case experiment {name!r} only takes a "
-                              f"scale override, got {sorted(overrides)}")
-        return ExperimentSpec(name=name, description=case.description,
-                              scenario=case.scenario(scale))
     raise ConfigError(f"unknown experiment {name!r}; known: {experiment_names()}")
 
 
 def experiment_names() -> List[str]:
     """Every resolvable experiment name, sorted (excluding bare figure ids)."""
     _load_experiment_library()
-    from ..bench.suite import CASES
-
-    names = set(EXPERIMENTS) | set(SCENARIOS) | set(CASES)
-    return sorted(names)
+    return sorted(set(EXPERIMENTS) | set(SCENARIOS))
 
 
 def experiment_descriptions() -> Dict[str, str]:
     """experiment name -> one-line description, for ``--list`` style output."""
     _load_experiment_library()
-    from ..bench.suite import CASES
-
-    described: Dict[str, str] = {}
-    for name, entry in EXPERIMENTS.items():
-        described[name] = entry.description
+    described = {name: entry.description for name, entry in EXPERIMENTS.items()}
     for name, description in scenario_descriptions().items():
         described.setdefault(name, description)
-    for name, case in CASES.items():
-        described.setdefault(name, case.description)
     return dict(sorted(described.items()))
 
 

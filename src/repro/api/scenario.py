@@ -30,7 +30,6 @@ from ..core.errors import ConfigError
 from ..platforms import Platform, PlatformLike, resolve_platforms
 from ..schedules import Schedule
 from ..serialize import from_jsonable, to_jsonable
-from ..sim.executors.common import HardwareConfig
 from ..sweep import ResultCache, SweepRunner, SweepSpec, SweepStats, build_runner
 from .workload import Workload
 
@@ -52,9 +51,7 @@ class Scenario:
     label.  ``platforms=None`` resolves to the default ``"sda"`` platform —
     exactly the hardware every call site used to default to, so a scenario
     without an explicit platform reproduces pre-platform results bit for bit.
-    ``hardware`` is the pre-platform spelling of a single-platform scenario
-    and folds into ``platforms`` (passing both is an error).  ``policies``
-    (optional) adds a fourth axis — a mapping from label to
+    ``policies`` (optional) adds a fourth axis — a mapping from label to
     :class:`~repro.serve.policy.ServePolicy` (or preset name / spec dict),
     usually built with :func:`~repro.serve.policy.policy_grid`; every
     workload in the scenario must then carry a serving ``config``
@@ -70,7 +67,6 @@ class Scenario:
     workloads: Union[Workload, Mapping[str, Workload]]
     schedules: Union[Schedule, Mapping[str, Schedule]]
     platforms: Union[PlatformLike, Mapping[str, PlatformLike]] = None
-    hardware: Optional[HardwareConfig] = None
     policies: Optional[Mapping[str, Any]] = None
     seed: int = 0
     description: str = ""
@@ -82,15 +78,7 @@ class Scenario:
         self.schedules = _as_mapping(self.schedules, lambda s: s.name)
         if not self.workloads or not self.schedules:
             raise ConfigError(f"{self.name}: needs at least one workload and one schedule")
-        if self.hardware is not None:
-            if self.platforms is not None:
-                raise ConfigError(f"{self.name}: pass either platforms or the "
-                                  f"legacy hardware, not both")
-            self.platforms = self.hardware
         self.platforms = resolve_platforms(self.platforms)
-        # legacy read path: the sole platform's hardware (None when swept)
-        self.hardware = (next(iter(self.platforms.values())).hardware
-                         if len(self.platforms) == 1 else None)
         if self.policies is not None:
             # deferred: repro.serve imports this module while initializing
             from ..serve.policy import resolve_serve_policy

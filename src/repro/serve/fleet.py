@@ -412,8 +412,8 @@ class FleetWorkload(WorkloadBase):
     ``run`` executes :func:`simulate_fleet` with ``config`` over ``trace``
     under the given unified schedule and reports the flat
     :meth:`~repro.serve.report.FleetReport.metrics`, so replica counts and
-    routing policies drop into scenarios, sweep grids, the result cache and
-    the benchmark suite like any other axis.  Use :meth:`report` (or
+    routing policies drop into scenarios, sweep grids and the result cache
+    like any other axis.  Use :meth:`report` (or
     :func:`repro.api.serve_fleet`) when the full
     :class:`~repro.serve.report.FleetReport` is needed.
     """

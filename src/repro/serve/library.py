@@ -54,7 +54,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..api.scenario import Scenario, register_scenario
-from ..core.errors import ConfigError
 from ..schedules import Schedule
 from ..workloads.configs import QWEN3_30B_A3B, scaled_config
 
@@ -413,16 +412,13 @@ def serve_streaming(model_scale: int = 32, arrival_rate: float = 300.0,
                     prompt_max: int = SMOKE_LENGTHS["prompt_max"],
                     output_mean: float = SMOKE_LENGTHS["output_mean"],
                     output_max: int = SMOKE_LENGTHS["output_max"],
-                    kv_tile_rows: int = 128, seed: int = 0,
-                    modes: Sequence[str] = ("full", "streaming")) -> Scenario:
+                    kv_tile_rows: int = 128, seed: int = 0) -> Scenario:
     """One heavy-tailed trace reported in full vs streaming mode.
 
     Both cells serve the identical trace; the only difference is the report
     representation.  Counts, cycle totals, queue-depth means and goodput
     match exactly; percentiles differ by at most the sketch's relative
-    error.  ``modes`` picks the report cells — the bench suite's large-trace
-    case (``serve-streaming-large``) keeps only ``"streaming"`` so its much
-    bigger ``num_requests`` never materializes per-request records.
+    error.
     """
     from .fleet import configure
     from .generators import generate_trace
@@ -436,18 +432,13 @@ def serve_streaming(model_scale: int = 32, arrival_rate: float = 300.0,
     full = ServeConfig(model=_serve_model(model_scale), batch_cap=batch_cap,
                        num_layers=num_layers, kv_tile_rows=kv_tile_rows,
                        seed=seed)
-    cells = {"full": full,
-             "streaming": configure(full, report_mode="streaming",
-                                    sketch_accuracy=sketch_accuracy,
-                                    window_cycles=window_cycles)}
-    unknown = [m for m in modes if m not in cells]
-    if unknown or not modes:
-        raise ConfigError(f"serve-streaming: modes must be a non-empty subset "
-                          f"of {sorted(cells)}, got {tuple(modes)}")
-    workloads = {mode: ServeWorkload(cells[mode], trace) for mode in modes}
+    streaming = configure(full, report_mode="streaming",
+                          sketch_accuracy=sketch_accuracy,
+                          window_cycles=window_cycles)
     return Scenario(
         name="serve-streaming",
-        workloads=workloads,
+        workloads={"full": ServeWorkload(full, trace),
+                   "streaming": ServeWorkload(streaming, trace)},
         schedules=Schedule.dynamic(),
         seed=seed,
         description="full vs O(1)-memory streaming report on one trace",

@@ -19,8 +19,7 @@ Two adapters connect the serving simulator to the unified scenario API:
   (:func:`repro.serve.scheduler.simulate_serving`) under the given schedule
   and reports the flat :meth:`~repro.serve.report.ServingReport.metrics`.
   Because it is a registered workload, serving runs drop into scenarios,
-  sweep grids, the result cache and the benchmark suite like any layer
-  workload.
+  sweep grids and the result cache like any layer workload.
 
 Both adapters are plain frozen-field dataclasses: picklable across the sweep
 pool and canonicalizable for content-hash caching.

@@ -18,7 +18,7 @@ build the spec; direct use looks like::
     spec = SweepSpec(name="tiles", task="workload",
                      base={"workload": MoEWorkload(model=model, batch=64,
                                                    assignments=assignments),
-                           "hardware": hw},
+                           "platform": hw},
                      axes={"schedule": [Schedule.static(f"tile={t}", t)
                                         for t in (8, 16, 32, 64)]
                            + [Schedule.dynamic()]})

@@ -81,25 +81,23 @@ def report_metrics(report: SimReport) -> Dict[str, float]:
 
 
 @register_task("workload")
-def workload(workload, schedule, platform=None, hardware=None) -> Dict[str, float]:
+def workload(workload, schedule, platform=None) -> Dict[str, float]:
     """The generic scenario task: any workload adapter under a unified schedule.
 
     ``workload`` is a :class:`repro.api.workload.Workload` value object,
     ``schedule`` a :class:`repro.schedules.Schedule`; both pickle cleanly and
     canonicalize for cache hashing as tagged dataclasses.  The hardware axis
-    arrives as ``platform`` (a :class:`repro.platforms.Platform`, whose *name*
-    participates in the cache key alongside its hardware fields — two named
-    platforms are distinct design points even with equal hardware); ``hardware``
-    remains accepted for hand-built specs predating the platform axis.  The
-    *full* platform is handed to the workload — adapters resolve it down to
-    the raw :class:`HardwareConfig` themselves — so platform-level fields the
-    hardware config doesn't carry (``hbm_capacity_bytes``) survive the trip
-    into capacity-aware workloads like serving.  Deliberately seedless: the
+    arrives as ``platform`` (a :class:`repro.platforms.Platform`, registered
+    name or raw :class:`HardwareConfig`; a platform's *name* participates in
+    the cache key alongside its hardware fields — two named platforms are
+    distinct design points even with equal hardware).  The *full* platform
+    is handed to the workload — adapters resolve it down to the raw
+    :class:`HardwareConfig` themselves — so platform-level fields the hardware
+    config doesn't carry (``hbm_capacity_bytes``) survive the trip into
+    capacity-aware workloads like serving.  Deliberately seedless: the
     workload's data (routing assignments, KV traces) fully determines the
     result, so cache entries are shared across spec seeds.
     """
-    if hardware is None:
-        from ..platforms import resolve_platform
+    from ..platforms import resolve_platform
 
-        hardware = resolve_platform(platform)
-    return workload.run(schedule, hardware)
+    return workload.run(schedule, resolve_platform(platform))

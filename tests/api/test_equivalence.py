@@ -85,7 +85,7 @@ class TestPlatformEquivalence:
                                                                    routing):
         """The platform redesign's acceptance anchor: a scenario without an
         explicit platform (= the registered "sda" platform) produces the exact
-        metrics of the pre-platform explicit sda_hardware() path."""
+        metrics of a raw sda_hardware() config and of the named platform."""
         from repro.api import Scenario
 
         workload = MoEWorkload(model=tiny_model, batch=8, assignments=routing)
@@ -94,7 +94,7 @@ class TestPlatformEquivalence:
         default_result = run(Scenario(name="default-platform", workloads=workload,
                                       schedules=schedules))
         explicit_result = run(Scenario(name="explicit-hw", workloads=workload,
-                                       schedules=schedules, hardware=sda_hardware()))
+                                       schedules=schedules, platforms=sda_hardware()))
         named_result = run(Scenario(name="named-platform", workloads=workload,
                                     schedules=schedules, platforms="sda"))
         assert [r.metrics for r in default_result.rows] == \
@@ -119,7 +119,7 @@ class TestPlatformEquivalence:
         cold = run(Scenario(name="a", workloads=workload, schedules=schedules),
                    cache=cache)
         assert cold.stats.simulated == 1
-        for spelling in ({"platforms": "sda"}, {"hardware": sda_hardware()}):
+        for spelling in ({"platforms": "sda"}, {"platforms": sda_hardware()}):
             warm = run(Scenario(name="b", workloads=workload, schedules=schedules,
                                 **spelling), cache=ResultCache(tmp_path))
             assert warm.stats.simulated == 0, spelling

@@ -8,6 +8,7 @@ import repro.api as api
 from repro.api import (ExperimentSpec, ResultCache, experiment,
                        experiment_descriptions, experiment_names, run_experiment)
 from repro.api.experiment import EXPERIMENTS, register_experiment
+from repro.api.scenario import SCENARIOS
 from repro.core.errors import ConfigError
 
 
@@ -42,13 +43,6 @@ class TestResolution:
         assert spec.kind == "scenario"
         assert spec.scenario.name == "serve-burst"
 
-    def test_bench_cases_resolve(self):
-        spec = experiment("figure9-dynamic-tiling")
-        assert spec.kind == "scenario"
-        assert spec.description
-        with pytest.raises(ConfigError):
-            experiment("figure9-dynamic-tiling", batch=3)
-
     def test_unknown_rejected(self):
         with pytest.raises(ConfigError):
             experiment("nonexistent-experiment")
@@ -56,8 +50,9 @@ class TestResolution:
     def test_names_and_descriptions_cover_all_sources(self):
         names = experiment_names()
         for expected in ("figure1", "figure15", "serve-latency", "serve-poisson",
-                         "dense-ffn", "figure15-batch-sweep"):
+                         "dense-ffn"):
             assert expected in names
+        assert set(names) == set(EXPERIMENTS) | set(SCENARIOS)
         descriptions = experiment_descriptions()
         assert set(descriptions) >= set(EXPERIMENTS)
         assert descriptions["serve-latency"]

@@ -130,21 +130,6 @@ class TestPlatformAxis:
     def test_default_platform_is_sda(self, tiny_scenario_factory):
         scenario = tiny_scenario_factory()
         assert list(scenario.platforms) == ["sda"]
-        # legacy read path: single-platform scenarios still expose .hardware
-        from repro.workloads.configs import sda_hardware
-        assert scenario.hardware == sda_hardware()
-
-    def test_legacy_hardware_argument_folds_into_platforms(self, tiny_scenario_factory):
-        from repro.api import get_platform
-        from repro.workloads.configs import sda_hardware
-
-        base = tiny_scenario_factory()
-        legacy = Scenario(name="legacy", workloads=base.workloads,
-                          schedules=base.schedules, hardware=sda_hardware())
-        assert legacy.platforms == {"sda": get_platform("sda")}
-        with pytest.raises(ConfigError):
-            Scenario(name="both", workloads=base.workloads, schedules=base.schedules,
-                     hardware=sda_hardware(), platforms="sda")
 
     def test_platforms_sweep_as_third_axis(self, tiny_scenario_factory, tmp_path):
         """The acceptance criterion: hardware sweeps through the pooled runner
@@ -194,7 +179,6 @@ class TestPlatformAxis:
         scenario = Scenario(name="acc", workloads=base.workloads,
                             schedules={"dynamic": base.schedules["dynamic"]},
                             platforms=platform_grid(onchip_bandwidths=(64.0, 128.0)))
-        assert scenario.hardware is None  # no single legacy hardware when swept
         result = run(scenario)
         with pytest.raises(KeyError):
             result[("moe:tiny-4e:b8", "dynamic")]  # ambiguous across platforms

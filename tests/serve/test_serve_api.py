@@ -1,4 +1,4 @@
-"""Integration of repro.serve with the api / sweep / bench layers."""
+"""Integration of repro.serve with the api / sweep layers."""
 
 from dataclasses import replace
 
@@ -121,13 +121,3 @@ class TestLatencyLoadSpec:
         light, heavy = SweepRunner(jobs=1).metrics(spec)
         assert heavy["e2e_p95"] > light["e2e_p95"]
         assert heavy["queue_queued_mean"] >= light["queue_queued_mean"]
-
-
-class TestBenchIntegration:
-    def test_serve_bench_cases_registered_and_buildable(self):
-        from repro.bench.suite import CASES
-
-        for name in ("serve-poisson", "serve-burst"):
-            assert name in CASES
-            scenario = CASES[name].scenario("smoke")
-            assert len(scenario) >= 2

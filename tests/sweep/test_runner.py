@@ -26,7 +26,7 @@ def tiny_moe_spec(seed: int = 0, tiles=(4, 8, None)) -> SweepSpec:
         name="tiny-moe",
         task="workload",
         base={"workload": MoEWorkload(model=model, batch=8, assignments=assignments),
-              "hardware": sda_hardware()},
+              "platform": sda_hardware()},
         axes={"schedule": [tile_schedule(t) for t in tiles]},
         seed=seed,
     )
@@ -135,7 +135,7 @@ class TestExecution:
         workload = AttentionWorkload(model=model, batch=8, lengths=[64, 64])
         with pytest.raises(ConfigError):
             get_task("workload")(workload=workload, schedule=Schedule.dynamic(),
-                                 hardware=sda_hardware())
+                                 platform=sda_hardware())
 
     def test_resolve_runner_defaults_to_serial_uncached(self):
         assert resolve_runner(None) is DEFAULT_RUNNER

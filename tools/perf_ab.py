@@ -1,0 +1,114 @@
+"""Same-runner A/B gate: perfbench on a base checkout against this one.
+
+Usage::
+
+    python3 tools/perf_ab.py BASE_CHECKOUT WORKLOAD
+
+Runs ``perfbench/run.py --workload WORKLOAD --seed 1 --seconds 30`` twice in
+``BASE_CHECKOUT`` (the base) and twice in the checkout holding this file (the
+head), in ABBA order: base, head, head, base.  A drift in machine speed over
+the four runs then weighs on both sides alike.  Each side runs its own
+``perfbench/run.py`` from its own root; the end-to-end metrics, their
+``better`` direction and their ``bound`` come from this checkout's
+``BENCHMARK.json``.
+
+The gate fails (exit 1) when the head
+
+- prints ``"correct": false`` in any run,
+- fails a larger share of its attempted operations than the base, or
+- has a median of an end-to-end metric worse than the base's median by more
+  than the metric's bound, a fraction of the base median.
+
+A perfbench run that crashes fails the gate too.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import statistics
+import subprocess
+import sys
+from typing import Dict, List, Sequence, Tuple
+
+HEAD = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 1
+SECONDS = 30
+
+
+def parse_result(stdout: str) -> Dict:
+    """The result object perfbench prints as its last stdout line."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("perfbench printed nothing")
+    return json.loads(lines[-1])
+
+
+def failed_share(results: Sequence[Dict]) -> float:
+    """Failed over attempted operations, summed over ``results``."""
+    attempted = sum(r["attempted"] for r in results)
+    return sum(r["failed"] for r in results) / attempted if attempted else 0.0
+
+
+def compare(base: Sequence[Dict], head: Sequence[Dict],
+            end_to_end: Sequence[Dict]) -> List[Tuple[bool, str]]:
+    """The gate's checks of ``head`` against ``base`` as ``(ok, line)`` pairs.
+
+    ``base`` and ``head`` are parsed perfbench results, ``end_to_end`` the
+    metric declarations of ``BENCHMARK.json``.  The gate passes when every
+    check is ok.
+    """
+    checks = [(r["correct"], f"head run {i + 1}: correct {r['correct']}")
+              for i, r in enumerate(head)]
+    base_share, head_share = failed_share(base), failed_share(head)
+    checks.append((head_share <= base_share,
+                   f"failed share: base {base_share:.4f} head {head_share:.4f}"))
+    for metric in end_to_end:
+        name, bound = metric["name"], metric["bound"]
+        before = statistics.median(r["metrics"][name]["value"] for r in base)
+        after = statistics.median(r["metrics"][name]["value"] for r in head)
+        worse = (after - before) if metric["better"] == "lower" else (before - after)
+        change = worse / before if before else 0.0
+        checks.append((change <= bound,
+                       f"{name}: base {before:.4g} head {after:.4g} "
+                       f"{metric['unit']} (worse by {change:+.1%}, bound {bound:.0%})"))
+    return checks
+
+
+def run_perfbench(root: str, workload: str) -> Dict:
+    """One perfbench run in checkout ``root``; its output passes through."""
+    command = [sys.executable, os.path.join("perfbench", "run.py"),
+               "--workload", workload, "--seed", str(SEED),
+               "--seconds", str(SECONDS)]
+    done = subprocess.run(command, cwd=root, stdout=subprocess.PIPE, text=True)
+    print(done.stdout, end="", flush=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"perfbench in {root} exited {done.returncode}")
+    return parse_result(done.stdout)
+
+
+def main(argv: Sequence[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/perf_ab.py BASE_CHECKOUT WORKLOAD",
+              file=sys.stderr)
+        return 2
+    base_root, workload = os.path.abspath(argv[0]), argv[1]
+    with open(os.path.join(HEAD, "BENCHMARK.json")) as handle:
+        end_to_end = json.load(handle)["end_to_end"]
+    results: Dict[str, List[Dict]] = {"base": [], "head": []}
+    try:
+        for side in ("base", "head", "head", "base"):
+            print(f"== {workload}: {side}", file=sys.stderr, flush=True)
+            root = base_root if side == "base" else HEAD
+            results[side].append(run_perfbench(root, workload))
+    except (RuntimeError, ValueError) as error:
+        print(f"FAIL {error}")
+        return 1
+    checks = compare(results["base"], results["head"], end_to_end)
+    for ok, line in checks:
+        print(f"{'ok  ' if ok else 'FAIL'} {line}")
+    return 0 if all(ok for ok, _ in checks) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
