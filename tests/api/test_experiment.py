@@ -70,6 +70,47 @@ class TestResolution:
             del EXPERIMENTS["_test-exp"]
 
 
+
+#: the benchmark-suite case names the package once resolved, each with the
+#: registered name and the smoke-scale overrides that build its scenario
+FORMER_BENCH_CASES = {
+    "figure15-batch-sweep": ("figure15", {"scale": "smoke"}),
+    "figure14-dynamic-parallelization": ("figure14", {"scale": "smoke"}),
+    "figure9-dynamic-tiling": ("figure9", {"scale": "smoke"}),
+    "figure12-timemux": ("figure12", {"scale": "smoke"}),
+    "dense-ffn": ("dense-ffn", {}),
+    "serve-poisson": ("serve-poisson", {"rates": (40.0, 640.0), "num_requests": 48,
+                                        "output_max": 12}),
+    "serve-burst": ("serve-burst", {"num_requests": 48, "output_max": 12}),
+    "serve-chunked-prefill": ("serve-policies", {"num_requests": 48, "output_max": 12,
+                                                 "policies": ("chunked-prefill",)}),
+    "serve-overload": ("serve-overload", {"num_requests": 24, "rates": (640.0,)}),
+    "serve-streaming-large": ("serve-streaming", {"num_requests": 2000,
+                                                  "arrival_rate": 2000.0,
+                                                  "batch_cap": 8, "output_max": 4}),
+    "fleet-grid": ("fleet-grid", {"num_requests": 24, "output_max": 12}),
+    "fleet-autoscale": ("fleet-autoscale", {"num_requests": 24, "output_max": 12}),
+    "fleet-surrogate-sweep": ("fleet-surrogate", {"num_requests": 2000,
+                                                  "arrival_rate": 4000.0}),
+}
+
+
+class TestFormerBenchCases:
+    """Names resolve from the experiment and scenario registries only."""
+
+    @pytest.mark.parametrize("case", sorted(set(FORMER_BENCH_CASES) - set(SCENARIOS)))
+    def test_case_only_name_is_unknown(self, case):
+        with pytest.raises(ConfigError, match="unknown experiment"):
+            experiment(case)
+        assert case not in experiment_names()
+
+    @pytest.mark.parametrize("case", sorted(FORMER_BENCH_CASES))
+    def test_scenario_builds_under_its_registered_name(self, case):
+        name, overrides = FORMER_BENCH_CASES[case]
+        spec = experiment(name, **overrides)
+        assert spec.kind == "scenario"
+        assert len(spec.scenario) > 0
+
 class TestSerialization:
     @pytest.mark.parametrize("name,kind", [("serve-latency", "sweep"),
                                            ("figure15", "scenario"),

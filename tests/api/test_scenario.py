@@ -131,6 +131,25 @@ class TestPlatformAxis:
         scenario = tiny_scenario_factory()
         assert list(scenario.platforms) == ["sda"]
 
+    def test_raw_hardware_config_is_one_platform(self, tiny_scenario_factory):
+        from repro.workloads.configs import sda_hardware
+
+        base = tiny_scenario_factory()
+        raw = Scenario(name="raw", workloads=base.workloads,
+                       schedules=base.schedules, platforms=sda_hardware())
+        assert len(raw.platforms) == 1
+        (platform,) = raw.platforms.values()
+        assert platform.hardware == sda_hardware()
+
+    def test_hardware_keyword_is_rejected(self, tiny_scenario_factory):
+        from repro.workloads.configs import sda_hardware
+
+        base = tiny_scenario_factory()
+        with pytest.raises(TypeError):
+            Scenario(name="legacy", workloads=base.workloads,
+                     schedules=base.schedules, hardware=sda_hardware())
+        assert not hasattr(base, "hardware")
+
     def test_platforms_sweep_as_third_axis(self, tiny_scenario_factory, tmp_path):
         """The acceptance criterion: hardware sweeps through the pooled runner
         and cache — distinct cache keys per platform, full hits on rerun."""

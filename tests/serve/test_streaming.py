@@ -363,6 +363,30 @@ class TestResolveReportMode:
             resolve_report_mode("compact")
 
 
+class TestServeStreamingScenario:
+    """The registered ``serve-streaming`` scenario: one trace, two report modes."""
+
+    def test_builds_a_full_and_a_streaming_cell_over_one_trace(self):
+        from repro.api import get_scenario
+
+        scenario = get_scenario("serve-streaming", num_requests=12,
+                                sketch_accuracy=0.02, window_cycles=5_000.0)
+        assert list(scenario.workloads) == ["full", "streaming"]
+        full, streaming = scenario.workloads.values()
+        assert full.trace is streaming.trace
+        assert len(full.trace) == 12
+        assert full.config.report_mode == "full"
+        assert streaming.config.report_mode == "streaming"
+        assert streaming.config.sketch_accuracy == 0.02
+        assert streaming.config.window_cycles == 5_000.0
+
+    def test_has_no_mode_selection_knob(self):
+        from repro.api import get_scenario
+
+        with pytest.raises(TypeError):
+            get_scenario("serve-streaming", modes=("streaming",))
+
+
 @pytest.fixture(scope="module")
 def paired_reports():
     """The same heavy-tailed trace served in full and streaming modes."""

@@ -137,6 +137,14 @@ class TestExecution:
             get_task("workload")(workload=workload, schedule=Schedule.dynamic(),
                                  platform=sda_hardware())
 
+    def test_workload_task_takes_platform_not_hardware(self):
+        from repro.sweep.tasks import get_task
+        model = scaled_config(QWEN3_30B_A3B, scale=32)
+        workload = AttentionWorkload(model=model, batch=8, lengths=[64, 64])
+        with pytest.raises(TypeError):
+            get_task("workload")(workload=workload, schedule=Schedule.dynamic(),
+                                 hardware=sda_hardware())
+
     def test_resolve_runner_defaults_to_serial_uncached(self):
         assert resolve_runner(None) is DEFAULT_RUNNER
         assert DEFAULT_RUNNER.jobs == 1 and DEFAULT_RUNNER.cache is None

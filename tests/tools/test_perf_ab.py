@@ -1,12 +1,15 @@
-"""The A/B gate's decision (``tools/perf_ab.py``) on synthetic perfbench results.
+"""The A/B gate (``tools/perf_ab.py``) on synthetic perfbench results.
 
 The results are perfbench's last stdout line, built by hand; the metric
-declarations are the real ``BENCHMARK.json``.  No perfbench process runs.
+declarations are the real ``BENCHMARK.json``.  ``main`` and
+``run_perfbench`` run against stand-ins for the perfbench run and for
+``subprocess.run``, so no perfbench process runs.
 """
 
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -84,3 +87,117 @@ def test_failed_share_no_higher_than_base_passes(perf_ab):
 def test_empty_output_is_rejected(perf_ab):
     with pytest.raises(ValueError):
         perf_ab.parse_result("")
+
+
+def test_result_is_the_last_stdout_line(perf_ab):
+    result = perf_ab.parse_result(result_line(failed=3) + "\n")
+    assert result["failed"] == 3
+    assert set(result["metrics"]) == {m["name"] for m in END_TO_END}
+
+
+def test_non_json_tail_is_rejected(perf_ab):
+    with pytest.raises(ValueError):
+        perf_ab.parse_result(result_line() + "Traceback (most recent call last):\n")
+
+
+def test_failed_share_pools_the_runs(perf_ab):
+    runs = [perf_ab.parse_result(result_line(attempted=300, failed=3)),
+            perf_ab.parse_result(result_line(attempted=100, failed=1))]
+    assert perf_ab.failed_share(runs) == pytest.approx(4 / 400)
+    assert perf_ab.failed_share([]) == 0.0
+
+
+def test_every_end_to_end_metric_is_checked(perf_ab):
+    runs = [perf_ab.parse_result(result_line())] * 2
+    checks = perf_ab.compare(runs, runs, END_TO_END)
+    names = [line.split(":")[0] for _, line in checks]
+    assert names == ["head run 1", "head run 2", "failed share",
+                     *(m["name"] for m in END_TO_END)]
+
+
+@pytest.mark.parametrize("name,value", [("wall_s", 4.8), ("setup_s", 0.625),
+                                        ("peak_rss_mb", 55.0)])
+def test_regression_at_the_bound_passes(perf_ab, name, value):
+    bound = next(m["bound"] for m in END_TO_END if m["name"] == name)
+    assert (value - BASE_VALUES[name]) / BASE_VALUES[name] == pytest.approx(bound)
+    at_bound = result_line(**{name: value})
+    assert decide(perf_ab, [result_line()] * 2, [at_bound] * 2) == []
+
+
+def test_higher_is_better_metric_fails_when_it_drops(perf_ab):
+    declared = [{"name": "wall_s", "unit": "s", "better": "higher", "bound": 0.1}]
+    base = [perf_ab.parse_result(result_line())] * 2
+    lower = [perf_ab.parse_result(result_line(wall_s=3.0))] * 2
+    higher = [perf_ab.parse_result(result_line(wall_s=6.0))] * 2
+    assert [ok for ok, _ in perf_ab.compare(base, lower, declared)][-1] is False
+    assert all(ok for ok, _ in perf_ab.compare(base, higher, declared))
+
+
+class FakePerfbench:
+    """Stands in for ``run_perfbench``: records each call, returns a result."""
+
+    def __init__(self, perf_ab, head_line=None, crash_on=None):
+        self.perf_ab, self.calls = perf_ab, []
+        self.head_line, self.crash_on = head_line or result_line(), crash_on
+
+    def __call__(self, root, workload):
+        self.calls.append((root, workload))
+        side = "head" if root == self.perf_ab.HEAD else "base"
+        if side == self.crash_on:
+            raise RuntimeError(f"perfbench in {root} exited 1")
+        return self.perf_ab.parse_result(self.head_line if side == "head"
+                                         else result_line())
+
+
+@pytest.mark.parametrize("argv", [[], ["base"], ["base", "w", "extra"]])
+def test_usage_needs_exactly_two_positionals(perf_ab, monkeypatch, argv):
+    fake = FakePerfbench(perf_ab)
+    monkeypatch.setattr(perf_ab, "run_perfbench", fake)
+    assert perf_ab.main(argv) == 2
+    assert fake.calls == []
+
+
+def test_main_runs_base_and_head_in_abba_order(perf_ab, monkeypatch, tmp_path, capsys):
+    fake = FakePerfbench(perf_ab)
+    monkeypatch.setattr(perf_ab, "run_perfbench", fake)
+    assert perf_ab.main([str(tmp_path), "paper-figures"]) == 0
+    base = str(tmp_path.resolve())
+    assert fake.calls == [(base, "paper-figures"), (perf_ab.HEAD, "paper-figures"),
+                          (perf_ab.HEAD, "paper-figures"), (base, "paper-figures")]
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_main_fails_on_a_slow_head(perf_ab, monkeypatch, tmp_path, capsys):
+    slow = result_line(wall_s=BASE_VALUES["wall_s"] * 2)
+    monkeypatch.setattr(perf_ab, "run_perfbench", FakePerfbench(perf_ab, slow))
+    assert perf_ab.main([str(tmp_path), "serve-exact-cold"]) == 1
+    assert "FAIL wall_s" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("side", ["base", "head"])
+def test_main_fails_when_a_run_crashes(perf_ab, monkeypatch, tmp_path, capsys, side):
+    fake = FakePerfbench(perf_ab, crash_on=side)
+    monkeypatch.setattr(perf_ab, "run_perfbench", fake)
+    assert perf_ab.main([str(tmp_path), "serve-exact-cold"]) == 1
+    assert "FAIL perfbench in" in capsys.readouterr().out
+
+
+def test_run_perfbench_command_and_exit_status(perf_ab, monkeypatch, tmp_path, capsys):
+    seen = {}
+
+    def fake_run(command, cwd, stdout, text):
+        seen.update(command=command, cwd=cwd)
+        return SimpleNamespace(returncode=seen.get("returncode", 0),
+                               stdout=result_line())
+
+    monkeypatch.setattr(perf_ab.subprocess, "run", fake_run)
+    result = perf_ab.run_perfbench(str(tmp_path), "fleet-surrogate-ladder")
+    assert result["correct"] is True
+    assert seen["cwd"] == str(tmp_path)
+    assert seen["command"][1:] == [str(Path("perfbench") / "run.py"), "--workload",
+                                   "fleet-surrogate-ladder", "--seed", "1",
+                                   "--seconds", "30"]
+    assert '"correct": true' in capsys.readouterr().out
+    seen["returncode"] = 1
+    with pytest.raises(RuntimeError):
+        perf_ab.run_perfbench(str(tmp_path), "fleet-surrogate-ladder")
