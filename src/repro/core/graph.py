@@ -5,9 +5,9 @@ A STeP program is an asynchronous dataflow graph: nodes are operators
 operator classes in :mod:`repro.ops` build on:
 
 * :class:`StreamSpec` — the static description of a stream (shape + data type),
-* :class:`StreamHandle` — a reference to one output port of one operator,
-  carrying its :class:`StreamSpec`; this is what the symbolic Python frontend
-  hands back to the user (``output.stream.shape`` in Listing 1),
+* :class:`StreamHandle` — a view of one output port of one operator, whose
+  :class:`StreamSpec` the operator holds; this is what the symbolic Python
+  frontend hands back to the user (``output.stream.shape`` in Listing 1),
 * :class:`OperatorBase` — the graph-node behaviour every operator inherits,
 * :class:`InputStream` — a source node whose tokens are supplied at run time,
 * :class:`Program` — a validated collection of operators reachable from a set
@@ -52,18 +52,29 @@ class StreamHandle:
     ``handle.dtype`` expose the symbolic stream shape and data type so that
     programs can be inspected (Listing 1 line 27) and known program properties
     can be re-imposed (Listing 1 line 26) via :meth:`override_shape`.
+
+    A handle is a ``(producer, port)`` view with no state of its own: the
+    port's spec and name live on the producer (``output_specs`` /
+    ``output_names``), and two handles of the same port are equal.  Only
+    consumers reference their producers, so a program graph without feedback
+    edges holds no reference cycle and is freed by reference counting.
     """
 
-    __slots__ = ("producer", "port", "spec", "name")
+    __slots__ = ("producer", "port")
 
-    def __init__(self, producer: "OperatorBase", port: int, spec: StreamSpec,
-                 name: Optional[str] = None):
+    def __init__(self, producer: "OperatorBase", port: int):
         self.producer = producer
-        self.port = int(port)
-        self.spec = spec
-        self.name = name or f"{producer.name}.out{port}"
+        self.port = port
 
     # -- inspection ------------------------------------------------------------
+    @property
+    def spec(self) -> StreamSpec:
+        return self.producer.output_specs[self.port]
+
+    @property
+    def name(self) -> str:
+        return self.producer.output_names[self.port]
+
     @property
     def shape(self) -> StreamShape:
         return self.spec.shape
@@ -86,8 +97,16 @@ class StreamHandle:
         input stream, which may even collapse dimensions the generic shape
         semantics keep separate.
         """
-        self.spec = self.spec.with_shape(shape_of(shape))
+        specs = self.producer.output_specs
+        specs[self.port] = specs[self.port].with_shape(shape_of(shape))
         return self
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, StreamHandle) and self.producer is other.producer
+                and self.port == other.port)
+
+    def __hash__(self) -> int:
+        return hash((id(self.producer), self.port))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StreamHandle({self.name}: {self.spec})"
@@ -107,7 +126,9 @@ class OperatorBase:
         self.node_id = next(_node_ids)
         self.name = name or f"{self.kind.lower()}_{self.node_id}"
         self.inputs: List[StreamHandle] = []
-        self.outputs: List[StreamHandle] = []
+        #: per output port: its stream spec and its name
+        self.output_specs: List[StreamSpec] = []
+        self.output_names: List[str] = []
         #: Free-form attributes used by the simulator lowering (compute bandwidth,
         #: memory placement hints, ...).
         self.attributes: Dict[str, object] = {}
@@ -121,21 +142,25 @@ class OperatorBase:
         self.inputs = list(handles)
 
     def _add_output(self, shape, dtype: DataType, name: Optional[str] = None) -> StreamHandle:
-        spec = StreamSpec(shape_of(shape), dtype)
-        handle = StreamHandle(self, len(self.outputs), spec,
-                              name=f"{self.name}.{name}" if name else None)
-        self.outputs.append(handle)
-        return handle
+        port = len(self.output_specs)
+        self.output_specs.append(StreamSpec(shape_of(shape), dtype))
+        self.output_names.append(f"{self.name}.{name}" if name else f"{self.name}.out{port}")
+        return StreamHandle(self, port)
 
     # -- convenience ---------------------------------------------------------------
     @property
+    def outputs(self) -> List[StreamHandle]:
+        """A handle per output port (fresh views; equal to earlier ones)."""
+        return [StreamHandle(self, port) for port in range(len(self.output_specs))]
+
+    @property
     def output(self) -> StreamHandle:
         """The sole output handle (raises if the operator has 0 or 2+ outputs)."""
-        if len(self.outputs) != 1:
+        if len(self.output_specs) != 1:
             raise GraphError(
-                f"{self.kind} {self.name!r} has {len(self.outputs)} outputs; "
+                f"{self.kind} {self.name!r} has {len(self.output_specs)} outputs; "
                 f"use .outputs[i]")
-        return self.outputs[0]
+        return StreamHandle(self, 0)
 
     @property
     def upstream(self) -> List["OperatorBase"]:
@@ -235,7 +260,7 @@ class Program:
         found = []
         for op in self.operators:
             for port, inp in enumerate(op.inputs):
-                if inp is handle:
+                if inp == handle:
                     found.append((op, port))
         return found
 

@@ -145,36 +145,41 @@ def tokens_from_nested(nested: Sequence, rank: int, wrap: Callable[[Any], Any] =
         raise StreamProtocolError(f"stream rank must be >= 0, got {rank}")
 
     tokens: TokenStream = []
-
-    def is_empty(group, level: int) -> bool:
-        if level == 0:
-            return len(group) == 0
-        return all(isinstance(entry, (list, tuple)) and is_empty(entry, level - 1)
-                   for entry in group) if group else True
-
-    def emit_group(group: Sequence, level: int) -> None:
-        # ``level`` is the stop-token level that closes one entry of ``group``.
-        if level == 0:
-            for value in group:
-                tokens.append(Data(wrap(value)))
-            return
-        for entry in group:
-            if not isinstance(entry, (list, tuple)):
-                raise StreamProtocolError(
-                    f"expected nesting of depth {rank + 1}, found leaf {entry!r} at level {level}")
-            if is_empty(entry, level - 1):
-                # Empty tensors carry no data and are elided from the token
-                # stream (the encoding cannot mark them without emitting bare
-                # stop tokens; Promote's 0-sized outermost dimension is the
-                # paper's mechanism for representing emptiness explicitly).
-                continue
-            emit_group(entry, level - 1)
-            _append_stop(tokens, level)
-
-    emit_group(nested, rank)
+    _emit_group(tokens, nested, rank, rank, wrap)
     if append_done:
         tokens.append(DONE)
     return tokens
+
+
+# Module-level rather than closures: a recursive closure references itself
+# through its cell, and that cycle would hold the emitted tokens until the
+# collector runs.
+def _is_empty(group, level: int) -> bool:
+    if level == 0:
+        return len(group) == 0
+    return all(isinstance(entry, (list, tuple)) and _is_empty(entry, level - 1)
+               for entry in group) if group else True
+
+
+def _emit_group(tokens: TokenStream, group: Sequence, level: int, rank: int,
+                wrap: Callable[[Any], Any]) -> None:
+    # ``level`` is the stop-token level that closes one entry of ``group``.
+    if level == 0:
+        for value in group:
+            tokens.append(Data(wrap(value)))
+        return
+    for entry in group:
+        if not isinstance(entry, (list, tuple)):
+            raise StreamProtocolError(
+                f"expected nesting of depth {rank + 1}, found leaf {entry!r} at level {level}")
+        if _is_empty(entry, level - 1):
+            # Empty tensors carry no data and are elided from the token
+            # stream (the encoding cannot mark them without emitting bare
+            # stop tokens; Promote's 0-sized outermost dimension is the
+            # paper's mechanism for representing emptiness explicitly).
+            continue
+        _emit_group(tokens, entry, level - 1, rank, wrap)
+        _append_stop(tokens, level)
 
 
 def _append_stop(tokens: TokenStream, level: int) -> None:

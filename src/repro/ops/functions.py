@@ -23,7 +23,7 @@ metadata-only tile of the correct shape so large sweeps avoid real arithmetic.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, Hashable, List, Optional
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from ..core.errors import ShapeError, TypeMismatchError
 
 #: shared metadata-only result tiles (interned per shape/dtype in core.dtypes)
 _meta_tile = Tile.meta_shared
+#: parameter types a function's cost key may hold
+_SCALARS = (bool, int, float, str, type(None))
 
 
 def _payloads_available(*tiles: Tile) -> bool:
@@ -65,6 +67,30 @@ class MapFunction:
         if isinstance(out, (list, tuple)):
             return sum(o.nbytes for o in out)
         return out.nbytes
+
+    def cost_key(self) -> Optional[Hashable]:
+        """What this function's results and costs depend on besides its inputs.
+
+        The class alone for a parameter-free function, else the class and its
+        scalar (or nested function) constructor parameters; ``None`` when the
+        function holds other state, so that its costs are not shared.  The
+        simulator shares metadata-only element costs across runs by this key.
+        """
+        params = getattr(self, "__dict__", None)
+        if params is None:
+            return None
+        if not params:
+            return type(self)
+        items = []
+        for name, value in sorted(params.items()):
+            if isinstance(value, MapFunction):
+                value = value.cost_key()
+                if value is None:
+                    return None
+            elif type(value) not in _SCALARS:
+                return None
+            items.append((name, type(value), value))
+        return type(self), tuple(items)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

@@ -101,9 +101,14 @@ def summarize(values: Sequence[float]) -> Dict[str, float]:
     return summary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RequestRecord:
-    """The lifecycle of one served request, in engine cycles."""
+    """The lifecycle of one served request, in engine cycles.
+
+    Frozen, with a hand-written ``__init__`` that fills ``__dict__`` in one
+    call (the generated one sets each field through ``object.__setattr__``);
+    a test pins its parameters to :func:`dataclasses.fields`.
+    """
 
     request_id: int
     arrival: float
@@ -115,6 +120,14 @@ class RequestRecord:
     output_tokens: int
     #: priority class the request was served under (0 = most urgent)
     priority: int = 0
+
+    def __init__(self, request_id: int, arrival: float, first_token: float,
+                 completion: float, prompt_tokens: int, output_tokens: int,
+                 priority: int = 0):
+        self.__dict__.update(request_id=request_id, arrival=arrival,
+                             first_token=first_token, completion=completion,
+                             prompt_tokens=prompt_tokens, output_tokens=output_tokens,
+                             priority=priority)
 
     @property
     def ttft(self) -> float:
@@ -173,9 +186,12 @@ def priority_breakdown(records: Sequence["RequestRecord"]) -> Dict[int, Dict[str
     return breakdown
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StepSample:
-    """One scheduler step of the queue-depth timeline."""
+    """One scheduler step of the queue-depth timeline.
+
+    Frozen, with a hand-written ``__init__`` as :class:`RequestRecord` has.
+    """
 
     #: cycle at which the step was issued
     start: float
@@ -197,6 +213,14 @@ class StepSample:
     kv_capacity_pages: int = 0
     #: requests preempted (evicted + re-queued) while forming this step
     preemptions: int = 0
+
+    def __init__(self, start: float, cycles: float, running: int, queued: int,
+                 tokens: int, prefills: int, kv_rows: int = 0, kv_pages: int = 0,
+                 kv_capacity_pages: int = 0, preemptions: int = 0):
+        self.__dict__.update(start=start, cycles=cycles, running=running, queued=queued,
+                             tokens=tokens, prefills=prefills, kv_rows=kv_rows,
+                             kv_pages=kv_pages, kv_capacity_pages=kv_capacity_pages,
+                             preemptions=preemptions)
 
     def to_dict(self) -> Dict[str, Any]:
         return {"start": self.start, "cycles": self.cycles, "running": self.running,

@@ -52,7 +52,8 @@ entry count and evicts least-recently-used entries deterministically;
 hit/miss/eviction counters for debugging (and every
 :meth:`~repro.serve.report.ServingReport.to_dict` snapshots the outer ones
 under ``"step_cache"``, so memoization efficacy is observable in sweeps);
-:func:`clear_step_cache` empties both layers.
+:func:`clear_step_cache` empties both layers, and the simulator's shared
+element-cost memo behind them.
 
 **Two-tier costing.**  ``ServeConfig(engine="surrogate", cost_model=...)``
 swaps the per-step simulation for a cost model from :mod:`repro.costmodel`
@@ -102,6 +103,7 @@ from ..core.errors import ConfigError
 from ..platforms import PlatformLike, resolve_platform
 from ..schedules import Schedule
 from ..sim.executors.common import HardwareConfig
+from ..sim.executors.compute import clear_cost_memo
 from ..sweep.cache import stable_hash
 from ..workloads.configs import ModelConfig
 from .arrivals import ArrivalTrace, Request, quantize_up
@@ -190,10 +192,12 @@ _TERM_MEMOS: Dict[str, StepMemo] = {term: StepMemo() for term in STEP_TERMS}
 
 
 def clear_step_cache() -> int:
-    """Drop the in-process step-cost memos, the per-term ones included
+    """Drop the in-process step-cost memos, the per-term ones and the
+    simulator's shared element-cost memo included, so the next run is cold
     (returns the number of step-signature entries)."""
     for memo in _TERM_MEMOS.values():
         memo.clear()
+    clear_cost_memo()
     return _STEP_MEMO.clear()
 
 

@@ -9,11 +9,19 @@ Token movement completes inline where the engine allows (see
 :func:`~repro.sim.executors.common.inline_effects`) and otherwise uses the
 batched effects: multi-input operators pop one aligned token per input in a
 single ``pop_each`` round-trip, and output runs are pushed as one run.
+
+The costs of a metadata-only element (its result, flops, cycles and on-chip
+bytes) depend on nothing but its input shapes and a few fixed facts of the
+operator, so Map, Accum and FlatMap share them across runs through one
+bounded process-wide memo (:data:`_COST_MEMO`).  The fixed part of its key is
+built once per executor: the executor kind, the function's
+:meth:`~repro.ops.functions.MapFunction.cost_key`, ``compute_bw``, the
+context's memory placement and the hardware fields the cost reads.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence
 
 from ...core.dtypes import Tile, TupleValue, value_nbytes
 from ...core.errors import StreamProtocolError
@@ -25,15 +33,81 @@ from ..engine import MISS
 from .common import OpContext, OutputBuilder, inline_effects, matmul_onchip_bytes, push_all
 
 
+class _CostMemo:
+    """Element costs shared by every run in the process, bounded.
+
+    One table per fixed key (see :func:`_fixed_key`) maps input shapes to
+    costs.  When the entries reach ``maxsize`` every table is emptied, so
+    memory stays bounded; results never depend on what the memo holds.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.size = 0
+        self.tables: Dict[Hashable, dict] = {}
+
+    def table(self, fixed: Optional[Hashable]) -> Optional[dict]:
+        """The shared table of ``fixed``, or None when there is no key."""
+        if fixed is None:
+            return None
+        table = self.tables.get(fixed)
+        if table is None:
+            table = self.tables[fixed] = {}
+        return table
+
+    def store(self, table: dict, key: Hashable, costs: tuple) -> None:
+        if self.size >= self.maxsize:
+            self.clear()
+        table[key] = costs
+        self.size += 1
+
+    def clear(self) -> int:
+        """Drop every entry; returns how many there were."""
+        size = self.size
+        for table in self.tables.values():
+            table.clear()
+        self.tables.clear()
+        self.size = 0
+        return size
+
+
+#: the process-wide element-cost memo (one cold exact serve holds about 1,000)
+_COST_MEMO = _CostMemo(maxsize=1 << 16)
+
+
+def clear_cost_memo() -> int:
+    """Empty the shared element-cost memo; returns its entry count."""
+    return _COST_MEMO.clear()
+
+
+def _fixed_key(op, ctx: OpContext) -> Optional[tuple]:
+    """The per-executor part of the memo key, or None if ``op.fn`` has none.
+
+    Everything an element's costs depend on besides its input shapes: the
+    executor kind (each charges a different roofline), the function, the
+    allocated compute bandwidth, the memory placement and the hardware fields
+    :meth:`OpContext.roofline_cycles` and the on-chip requirement read (the
+    config itself is an unhashable dataclass).
+    """
+    fn = op.fn.cost_key()
+    if fn is None:
+        return None
+    hardware = ctx.hardware
+    return (op.kind, fn, op.compute_bw, ctx.inputs_from_memory, ctx.outputs_to_memory,
+            hardware.timing_model, hardware.onchip_bandwidth, hardware.compute_tile)
+
+
 def map_executor(op: Map, ins: Sequence[Channel], outs: Sequence[Sequence[Channel]],
                  ctx: OpContext):
     out_channels = outs[0] if outs else []
     single = ins[0] if len(ins) == 1 else None
     pop, _, push, _, tick_push = inline_effects(ctx)
     #: input shapes -> element costs, for metadata-only inputs (whose result,
-    #: flops and cycles depend on nothing but their shapes); bounded by the
-    #: number of distinct shapes the operator sees
-    memo = {}
+    #: flops and cycles depend on nothing but their shapes)
+    memo = _COST_MEMO.table(_fixed_key(op, ctx))
+    store = _COST_MEMO.store
+    #: the largest on-chip requirement recorded so far (a running max)
+    onchip = -1
     while True:
         if single is not None:
             first = pop(single)
@@ -63,17 +137,16 @@ def map_executor(op: Map, ins: Sequence[Channel], outs: Sequence[Sequence[Channe
                 raise StreamProtocolError(
                     f"{ctx.op_name}: input streams desynchronized (data vs control)")
             values.append(token.value)
-        key = _shape_key(values)
+        key = _shape_key(values) if memo is not None else None
         costs = memo.get(key) if key is not None else None
         if costs is None:
             costs = _element_costs(op, ctx, values)
-            # the on-chip requirement is a running max: a memo hit would
-            # record the same bytes again
-            if costs[3] is not None:
-                ctx.record_onchip(costs[3])
             if key is not None:
-                memo[key] = costs
-        result, flops, cycles, _ = costs
+                store(memo, key, costs)
+        result, flops, cycles, nbytes = costs
+        if nbytes is not None and nbytes > onchip:
+            ctx.record_onchip(nbytes)
+            onchip = nbytes
         ctx.record_element(cycles, flops)
         effect = tick_push(cycles, out_channels, (Data(result),))
         if effect is not None:
@@ -88,6 +161,13 @@ def _shape_key(values) -> Optional[tuple]:
             return None
         key.append((value.rows, value.cols, value.dtype))
     return tuple(key)
+
+
+def _tile_key(value) -> Optional[tuple]:
+    """The memo key of one metadata-only tile, or None."""
+    if type(value) is not Tile or value.data is not None:
+        return None
+    return (value.rows, value.cols, value.dtype)
 
 
 def _element_costs(op: Map, ctx: OpContext, values: list) -> tuple:
@@ -111,23 +191,26 @@ def accum_executor(op: Accum, ins: Sequence[Channel], outs: Sequence[Sequence[Ch
     saw_value = False
     pop, _, push, tick, tick_push = inline_effects(ctx)
     #: (value shape, state shape) -> update costs, for metadata-only tiles
-    memo = {}
+    memo = _COST_MEMO.table(_fixed_key(op, ctx))
+    store = _COST_MEMO.store
+    #: the largest on-chip requirement recorded so far (a running max)
+    onchip = -1
     while True:
         token = pop(channel)
         if token is MISS:
             token = yield ("pop", channel)
         if isinstance(token, Data):
             value = token.value
-            key = _accum_key(value, state)
+            key = _accum_key(value, state) if memo is not None else None
             costs = memo.get(key) if key is not None else None
             if costs is None:
                 costs = _accum_costs(op, ctx, value, state)
-                # the on-chip requirement is a running max: a memo hit
-                # would record the same bytes again
-                ctx.record_onchip(costs[3])
                 if key is not None:
-                    memo[key] = costs
-            state, flops, cycles, _ = costs
+                    store(memo, key, costs)
+            state, flops, cycles, nbytes = costs
+            if nbytes > onchip:
+                ctx.record_onchip(nbytes)
+                onchip = nbytes
             effect = tick(cycles)
             if effect is not None:
                 yield effect
@@ -161,14 +244,23 @@ def accum_executor(op: Accum, ins: Sequence[Channel], outs: Sequence[Sequence[Ch
 
 
 def _accum_key(value, state) -> Optional[tuple]:
-    """The memo key of a metadata-only value and state, or None."""
-    if type(value) is not Tile or value.data is not None:
+    """The memo key of a metadata-only value (a tile, or a tuple of tiles as
+    MatmulAccum takes) and state, or None."""
+    if type(value) is Tile:
+        if value.data is not None:
+            return None
+        value_key = (value.rows, value.cols, value.dtype)
+    elif type(value) is TupleValue:
+        value_key = _shape_key(value.elements)
+        if value_key is None:
+            return None
+    else:
         return None
     if state is None:
-        return (value.rows, value.cols, value.dtype, None)
+        return (value_key, None)
     if type(state) is not Tile or state.data is not None:
         return None
-    return (value.rows, value.cols, value.dtype, (state.rows, state.cols, state.dtype))
+    return (value_key, (state.rows, state.cols, state.dtype))
 
 
 def _accum_costs(op: Accum, ctx: OpContext, value, state) -> tuple:
@@ -235,17 +327,22 @@ def flatmap_executor(op: FlatMap, ins: Sequence[Channel], outs: Sequence[Sequenc
     channel = ins[0]
     builder = OutputBuilder()
     pop, _, push, _, tick_push = inline_effects(ctx)
+    #: input shape -> expansion costs, for metadata-only tiles
+    memo = _COST_MEMO.table(_fixed_key(op, ctx))
+    store = _COST_MEMO.store
     while True:
         token = pop(channel)
         if token is MISS:
             token = yield ("pop", channel)
         if isinstance(token, Data):
             value = token.value
-            pieces = op.fn(value)
-            flops = op.fn.flops(value)
-            in_bytes = value_nbytes(value)
-            out_bytes = sum(value_nbytes(p) for p in _flatten_pieces(pieces))
-            cycles = ctx.roofline_cycles(in_bytes, flops, out_bytes, op.compute_bw)
+            key = _tile_key(value) if memo is not None else None
+            costs = memo.get(key) if key is not None else None
+            if costs is None:
+                costs = _expansion_costs(op, ctx, value)
+                if key is not None:
+                    store(memo, key, costs)
+            pieces, flops, cycles = costs
             ctx.record_element(cycles, flops)
             # Each input element expands into `rank` new innermost dimensions;
             # its expansion is closed by a stop of level `rank`.
@@ -261,6 +358,15 @@ def flatmap_executor(op: FlatMap, ins: Sequence[Channel], outs: Sequence[Sequenc
             if effect is not None:
                 yield effect
             return
+
+
+def _expansion_costs(op: FlatMap, ctx: OpContext, value) -> tuple:
+    """``(pieces, flops, cycles)`` of one FlatMap element."""
+    pieces = op.fn(value)
+    flops = op.fn.flops(value)
+    out_bytes = sum(value_nbytes(p) for p in _flatten_pieces(pieces))
+    cycles = ctx.roofline_cycles(value_nbytes(value), flops, out_bytes, op.compute_bw)
+    return pieces, flops, cycles
 
 
 def _flatten_pieces(pieces) -> List:

@@ -10,7 +10,7 @@ chunk on its selector output.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ...core.dtypes import Selector
 from ...core.errors import StreamProtocolError
@@ -97,54 +97,13 @@ def partition_executor(op: Partition, ins: Sequence[Channel],
                 yield effect
 
 
-def _collect_chunk(channel: Channel, rank: int, first: Optional[Token], pop):
-    """Pop one chunk (data up to the first stop >= rank) from ``channel``.
-
-    Returns ``(items, finished)`` where ``finished`` is True when the stream's
-    Done token was reached while collecting.  ``pop`` is the executor's
-    inline pop.
-    """
-    items: List[Token] = []
-    token = first
-    while True:
-        if token is None:
-            token = pop(channel)
-            if token is MISS:
-                token = yield ("pop", channel)
-        if isinstance(token, Done):
-            return items, True
-        if isinstance(token, Stop):
-            if token.level >= rank and rank >= 1:
-                return items, False
-            if token.level < rank:
-                items.append(token)
-            # stops above the chunk rank that are not chunk terminators only
-            # occur for rank == 0 streams; they carry no data and are dropped
-        else:
-            items.append(token)
-            if rank == 0:
-                return items, False
-        token = None
-
-
-def _emit_chunk(builder: OutputBuilder, items: Sequence[Token], rank: int) -> List[Token]:
-    tokens: List[Token] = []
-    for item in items:
-        if isinstance(item, Data):
-            tokens.extend(builder.data(item.value))
-        elif isinstance(item, Stop):
-            builder.stop(item.level)
-    if rank >= 1:
-        builder.stop(rank)
-    return tokens
-
-
 def reassemble_executor(op: Reassemble, ins: Sequence[Channel],
                         outs: Sequence[Sequence[Channel]], ctx: OpContext):
     data_channels = list(ins[:-1])
     selector_channel = ins[-1]
     out_channels = outs[0] if outs else []
     builder = OutputBuilder()
+    rank = op.rank
     pop, pop_any, push, tick, _ = inline_effects(ctx)
     while True:
         token = pop(selector_channel)
@@ -162,20 +121,44 @@ def reassemble_executor(op: Reassemble, ins: Sequence[Channel],
         while remaining:
             if len(remaining) == 1:
                 index = remaining[0]
-                first = None
+                item = None
+                remaining = ()
             else:
                 # collect from whichever selected input has data available first
                 chans = [data_channels[i] for i in remaining]
                 picked = pop_any(chans)
                 if picked is MISS:
                     picked = yield ("pop_any", chans)
-                which, first = picked
+                which, item = picked
                 index = remaining[which]
-            items, _ = yield from _collect_chunk(data_channels[index], op.rank, first, pop)
-            effect = push(out_channels, _emit_chunk(builder, items, op.rank))
+                remaining = [i for i in remaining if i != index]
+            # forward one chunk: data up to the first stop >= rank (or Done)
+            channel = data_channels[index]
+            tokens: List[Token] = []
+            while True:
+                if item is None:
+                    item = pop(channel)
+                    if item is MISS:
+                        item = yield ("pop", channel)
+                if isinstance(item, Done):
+                    break
+                if isinstance(item, Stop):
+                    if item.level >= rank >= 1:
+                        break
+                    if item.level < rank:
+                        builder.stop(item.level)
+                    # other stops only occur for rank == 0 streams; they
+                    # carry no data and are dropped
+                else:
+                    tokens.extend(builder.data(item.value))
+                    if rank == 0:
+                        break
+                item = None
+            if rank >= 1:
+                builder.stop(rank)
+            effect = push(out_channels, tokens)
             if effect is not None:
                 yield effect
-            remaining = [i for i in remaining if i != index]
         ctx.record_element(1.0)
         effect = tick(1.0)
         if effect is not None:
@@ -190,22 +173,47 @@ def eager_merge_executor(op: EagerMerge, ins: Sequence[Channel],
     selector_outs = outs[1] if len(outs) > 1 else []
     builder = OutputBuilder()
     live = list(range(op.num_producers))
+    rank = op.rank
     pop = inline_effects(ctx)[0]
     while live:
         chans = [ins[i] for i in live]
-        which, first = yield ("pop_any", chans)
+        which, item = yield ("pop_any", chans)
         index = live[which]
-        if isinstance(first, Done):
+        if isinstance(item, Done):
             live.remove(index)
             continue
-        if isinstance(first, Stop):
+        if isinstance(item, Stop):
             # outer structure of the input streams is flattened away
             continue
-        items, finished = yield from _collect_chunk(ins[index], op.rank, first, pop)
+        # forward one chunk: data up to the first stop >= rank (or Done)
+        channel = ins[index]
+        tokens: List[Token] = []
+        finished = False
+        while True:
+            if item is None:
+                item = pop(channel)
+                if item is MISS:
+                    item = yield ("pop", channel)
+            if isinstance(item, Done):
+                finished = True
+                break
+            if isinstance(item, Stop):
+                if item.level >= rank >= 1:
+                    break
+                if item.level < rank:
+                    builder.stop(item.level)
+                # other stops only occur for rank == 0 streams (dropped)
+            else:
+                tokens.extend(builder.data(item.value))
+                if rank == 0:
+                    break
+            item = None
+        if rank >= 1:
+            builder.stop(rank)
         ctx.record_element(1.0)
         # As in Partition, chunk terminators are flushed eagerly so consumers
         # (e.g. the availability loop of dynamic parallelization) see them now.
-        tokens = _emit_chunk(builder, items, op.rank) + builder.flush()
+        tokens.extend(builder.flush())
         yield ("tick_push_many", 1.0, data_outs, tokens)
         if selector_outs:
             yield push_all(selector_outs, Data(Selector(index, op.num_producers)))

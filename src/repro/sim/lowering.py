@@ -94,13 +94,15 @@ def lower(program: Program, inputs: Optional[Dict[str, Sequence[Token]]] = None,
     # producer-side: (producer node id, port) -> list of channels (fan-out)
     out_channels: Dict[Tuple[int, int], List[Channel]] = {}
     for op in program.operators:
-        out_channels.update({(op.node_id, port): [] for port in range(len(op.outputs))})
+        out_channels.update({(op.node_id, port): [] for port in range(len(op.output_specs))})
 
-    #: producer handle id -> consumer operator kinds (one pass over the edges,
-    #: replacing per-operator O(V*E) consumers_of scans during context setup)
-    consumer_kinds: Dict[int, List[str]] = {}
+    #: (producer node id, port) -> consumer operator kinds (one pass over the
+    #: edges, replacing per-operator O(V*E) consumers_of scans during context
+    #: setup)
+    consumer_kinds: Dict[Tuple[int, int], List[str]] = {}
     for handle, consumer, port in program.edges():
-        consumer_kinds.setdefault(id(handle), []).append(consumer.kind)
+        consumer_kinds.setdefault((handle.producer.node_id, handle.port),
+                                  []).append(consumer.kind)
         channel = engine.add_channel(
             name=f"{handle.name}->{consumer.name}.in{port}",
             capacity=hardware.channel_capacity,
@@ -132,7 +134,7 @@ def lower(program: Program, inputs: Optional[Dict[str, Sequence[Token]]] = None,
         )
         contexts[op.name] = ctx
         ins = in_channels.get(op.node_id, [])
-        outs = [out_channels[(op.node_id, port)] for port in range(len(op.outputs))]
+        outs = [out_channels[(op.node_id, port)] for port in range(len(op.output_specs))]
 
         if isinstance(op, InputStream):
             tokens = inputs.get(op.name)
@@ -151,7 +153,7 @@ def lower(program: Program, inputs: Optional[Dict[str, Sequence[Token]]] = None,
         executor = executor_for(op)
         generator = executor(op, ins, outs, ctx)
         is_sink = op.kind in ("LinearOffChipStore", "RandomOffChipStore") and not any(
-            out_channels[(op.node_id, port)] for port in range(len(op.outputs)))
+            out_channels[(op.node_id, port)] for port in range(len(op.output_specs)))
         engine.add_process(op.name, generator, is_sink=is_sink)
         if op.kind in ("LinearOffChipStore", "RandomOffChipStore"):
             sink_contexts.setdefault(op.name, ctx)
@@ -168,9 +170,10 @@ def _inputs_from_memory(op: OperatorBase) -> bool:
     return any(handle.producer.kind in _MEMORY_PRODUCERS for handle in op.inputs)
 
 
-def _outputs_to_memory(op: OperatorBase, consumer_kinds: Dict[int, List[str]]) -> bool:
-    for handle in op.outputs:
-        for kind in consumer_kinds.get(id(handle), ()):
+def _outputs_to_memory(op: OperatorBase,
+                       consumer_kinds: Dict[Tuple[int, int], List[str]]) -> bool:
+    for port in range(len(op.output_specs)):
+        for kind in consumer_kinds.get((op.node_id, port), ()):
             if kind in _MEMORY_CONSUMERS:
                 return True
     return False

@@ -30,7 +30,20 @@ class TestHandles:
     def test_single_output_property(self):
         x = small_input()
         op = Map(x, Scale(2.0))
-        assert op.output is op.outputs[0]
+        assert op.output == op.outputs[0]
+        assert (op.output.producer, op.output.port) == (op, 0)
+
+    def test_handles_are_views_of_the_producer_port(self):
+        x = small_input()
+        op = Promote(x)
+        first, second = op.output, op.outputs[0]
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        assert first != x and first != Promote(x).output
+        first.override_shape(StreamShape([4, 2]))
+        assert second.shape.concrete() == (4, 2)
+        assert op.output_specs[0] is second.spec
+        assert second.name == op.output_names[0] == f"{op.name}.out0"
 
 
 class TestProgram:

@@ -8,6 +8,9 @@ the change is intentional, re-record the constants (they are printed by
 running this file's ``_golden_report`` under ``python -c``).
 """
 
+import dataclasses
+import inspect
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -92,6 +95,38 @@ class TestRequestRecord:
         record = RequestRecord(request_id=0, arrival=0.0, first_token=10.0,
                                completion=10.0, prompt_tokens=16, output_tokens=1)
         assert record.tpot == 0.0
+
+
+class TestHandWrittenInit:
+    """``RequestRecord`` and ``StepSample`` write their ``__init__`` by hand
+    (one ``__dict__`` fill instead of a ``__setattr__`` per field); these
+    pins keep it equal to the generated one."""
+
+    @pytest.mark.parametrize("cls", [RequestRecord, StepSample])
+    def test_parameters_match_the_fields(self, cls):
+        params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+        fields = dataclasses.fields(cls)
+        assert [p.name for p in params] == [f.name for f in fields]
+        for param, field in zip(params, fields):
+            want = (inspect.Parameter.empty if field.default is dataclasses.MISSING
+                    else field.default)
+            assert param.default == want, field.name
+            assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+    @pytest.mark.parametrize("cls", [RequestRecord, StepSample])
+    def test_frozen_value_semantics(self, cls):
+        values = {f.name: i + 1 for i, f in enumerate(dataclasses.fields(cls))}
+        record = cls(**values)
+        assert vars(record) == values
+        assert record == cls(*values.values())
+        assert hash(record) == hash(cls(**values))
+        assert cls.from_dict(record.to_dict()) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+        last = dataclasses.fields(cls)[-1].name
+        changed = replace(record, **{last: 99})
+        assert getattr(changed, last) == 99 and changed != record
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, last, 0)
 
 
 class TestSerialization:

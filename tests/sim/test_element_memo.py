@@ -1,18 +1,19 @@
 """Per-element waste the simulator no longer spends, with results unchanged.
 
 * Map memoizes each element's (result, flops, cycles, on-chip bytes) on the
-  shapes of metadata-only inputs.  Runs with the memo must match runs that
-  compute every element afresh (the memo monkeypatched away), and the memo
-  holds one entry per distinct input shape.
+  shapes of metadata-only inputs, in a memo shared across runs.  Runs with
+  the memo must match runs that compute every element afresh (the memo
+  monkeypatched away), and the memo holds one entry per distinct input shape.
 * Accum memoizes each update's (state, flops, cycles, on-chip bytes) on the
   (value shape, state shape) pair of metadata-only tiles, under the same
-  contract.
+  contract.  Tests that count computations clear the shared memo first.
 * Reshape pushes nothing for builder calls that produce no tokens (its stops)
   nor to a port without consumers (often the padding indicator).
 """
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import repro.sim.executors.compute as compute
@@ -73,6 +74,7 @@ class TestMapMemo:
         assert _run(workload, schedule) == memoized
 
     def test_fresh_meta_tiles_of_k_shapes_keep_k_entries(self, monkeypatch):
+        compute.clear_cost_memo()  # the memo is shared: start from an empty one
         computed = []
         element_costs = compute._element_costs
 
@@ -123,7 +125,9 @@ MOE_LAYER_SCHEDULES = MOE_SCHEDULES + [
 
 
 def _counting_accum_costs(monkeypatch):
-    """Wrap Accum's update costing; the (value, state) pairs it was asked for."""
+    """Wrap Accum's update costing; the (value, state) pairs it was asked for,
+    counted from an empty shared memo."""
+    compute.clear_cost_memo()
     computed = []
     accum_costs = compute._accum_costs
 
@@ -195,20 +199,35 @@ class TestAccumMemo:
                 if isinstance(t, Data)]
         assert sums == [6.0, 9.0]
 
-    def test_matmul_accum_tuples_skip_the_memo(self, monkeypatch):
+    def test_matmul_accum_tuples_of_meta_tiles_share_the_memo(self, monkeypatch):
         computed = _counting_accum_costs(monkeypatch)
         shape = StreamShape([2, Dim.ragged("K")])
         a = InputStream(shape, TileType(2, 4), name="a").stream
         b = InputStream(shape, TileType(4, 3), name="b").stream
         out = Accum(Zip(a, b).output, MatmulAccum(), rank=1, compute_bw=64).output
+        program = Program([out], name="matmul-accum")
         steps = (3, 2)
-        report = simulate(Program([out], name="matmul-accum"), {
-            "a": tokens_from_nested([[Tile.meta(2, 4)] * n for n in steps], 1),
-            "b": tokens_from_nested([[Tile.meta(4, 3)] * n for n in steps], 1)})
-        assert len(computed) == sum(steps)
+
+        def run(a_tile, b_tile):
+            return simulate(program, {
+                "a": tokens_from_nested([[a_tile()] * n for n in steps], 1),
+                "b": tokens_from_nested([[b_tile()] * n for n in steps], 1)})
+
+        report = run(lambda: Tile.meta(2, 4), lambda: Tile.meta(4, 3))
+        # (A, B) shapes with an empty state, then with the (2, 3) product
+        assert len(computed) == 2
         products = [(t.value.rows, t.value.cols) for t in report.output_tokens(out.name)
                     if isinstance(t, Data)]
         assert products == [(2, 3), (2, 3)]
+
+        computed.clear()
+        payload = run(lambda: Tile.from_array(np.ones((2, 4))),
+                      lambda: Tile.from_array(np.ones((4, 3))))
+        assert len(computed) == sum(steps)  # payload tuples skip the memo
+        assert payload.cycles == report.cycles
+        sums = [t.value.to_array()[0, 0] for t in payload.output_tokens(out.name)
+                if isinstance(t, Data)]
+        assert sums == [12.0, 8.0]
 
 
 #: (cycles, data structure, padding indicators) of the reshape programs below,

@@ -1,13 +1,14 @@
-"""The A/B gate (``tools/perf_ab.py``) on synthetic perfbench results.
+"""The A/B gate (``tools/perf_ab.py``) on synthetic perfbench output.
 
-The results are perfbench's last stdout line, built by hand; the metric
-declarations are the real ``BENCHMARK.json``.  ``main`` and
-``run_perfbench`` run against stand-ins for the perfbench run and for
-``subprocess.run``, so no perfbench process runs.
+The output is perfbench's last stdout line and its ``rep seed N:`` stderr
+lines, built by hand; the metric declarations are the real
+``BENCHMARK.json``.  ``main`` and ``run_perfbench`` run against stand-ins for
+the perfbench run and for ``subprocess.run``, so no perfbench process runs.
 """
 
 import importlib.util
 import json
+import statistics
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,51 +37,74 @@ def result_line(correct=True, attempted=100, failed=0, **values) -> str:
     return f"{digest}\n{result}\n"
 
 
-def decide(perf_ab, base_lines, head_lines):
+def rep_lines(reps=3, seed=1, **values) -> str:
+    """Perfbench's stderr: one ``rep seed N:`` line per repetition.
+
+    A value may be a list, one entry per repetition."""
+    lines = ["== noise before the repetition lines"]
+    for rep in range(reps):
+        got = {name: values.get(name, BASE_VALUES[name]) for name in BASE_VALUES}
+        got = {name: v[rep] if isinstance(v, list) else v for name, v in got.items()}
+        lines.append(f"rep seed {seed * 1000 + rep}: wall_s {got['wall_s']:.4f} "
+                     f"setup_s {got['setup_s']:.4f} peak_rss_mb "
+                     f"{got['peak_rss_mb']:.1f} speed 0.800")
+    return "\n".join(lines) + "\n"
+
+
+def run_output(correct=True, attempted=100, failed=0, reps=3, **values):
+    """One synthetic perfbench run: ``(stdout, stderr)``.  Its result object
+    holds the median of the repetitions, as perfbench's does."""
+    medians = {name: statistics.median(v) for name, v in values.items()
+               if isinstance(v, list)}
+    return (result_line(correct, attempted, failed, **{**values, **medians}),
+            rep_lines(reps, **values))
+
+
+def decide(perf_ab, base_runs, head_runs):
     """The names of the failed checks (empty: the gate passes)."""
-    base = [perf_ab.parse_result(line) for line in base_lines]
-    head = [perf_ab.parse_result(line) for line in head_lines]
+    base = [perf_ab.parse_run(*run) for run in base_runs]
+    head = [perf_ab.parse_run(*run) for run in head_runs]
     return [line.split(":")[0] for ok, line in perf_ab.compare(base, head, END_TO_END)
             if not ok]
 
 
 def test_change_within_bound_passes(perf_ab):
-    base = [result_line(), result_line(wall_s=4.2)]
-    head = [result_line(wall_s=4.6, setup_s=0.55, peak_rss_mb=53.0),
-            result_line(wall_s=4.8, setup_s=0.6, peak_rss_mb=54.0)]
+    base = [run_output(), run_output(wall_s=4.2)]
+    head = [run_output(wall_s=4.6, setup_s=0.55, peak_rss_mb=53.0),
+            run_output(wall_s=4.8, setup_s=0.6, peak_rss_mb=54.0)]
     assert decide(perf_ab, base, head) == []
 
 
 @pytest.mark.parametrize("name,factor", [("wall_s", 1.3), ("peak_rss_mb", 1.15),
                                          ("setup_s", 1.3)])
 def test_regression_beyond_bound_fails(perf_ab, name, factor):
-    slow = result_line(**{name: BASE_VALUES[name] * factor})
-    assert decide(perf_ab, [result_line()] * 2, [slow] * 2) == [name]
+    slow = run_output(**{name: BASE_VALUES[name] * factor})
+    assert decide(perf_ab, [run_output()] * 2, [slow] * 2) == [name]
 
 
 def test_one_slow_head_run_moves_the_median(perf_ab):
-    head = [result_line(), result_line(wall_s=BASE_VALUES["wall_s"] * 1.6)]
-    assert decide(perf_ab, [result_line()] * 2, head) == ["wall_s"]
+    head = [run_output(), run_output(wall_s=BASE_VALUES["wall_s"] * 1.6)]
+    assert decide(perf_ab, [run_output()] * 2, head) == ["wall_s"]
 
 
 def test_improvement_passes(perf_ab):
-    fast = result_line(wall_s=2.0, setup_s=0.3, peak_rss_mb=40.0)
-    assert decide(perf_ab, [result_line()] * 2, [fast] * 2) == []
+    fast = run_output(wall_s=2.0, setup_s=0.3, peak_rss_mb=40.0)
+    assert decide(perf_ab, [run_output()] * 2, [fast] * 2) == []
 
 
 def test_incorrect_head_fails(perf_ab):
-    head = [result_line(), result_line(correct=False)]
-    assert decide(perf_ab, [result_line()] * 2, head) == ["head run 2"]
+    head = [run_output(), run_output(correct=False)]
+    assert decide(perf_ab, [run_output()] * 2, head) == ["head run 2"]
 
 
 def test_higher_failed_share_fails(perf_ab):
-    head = [result_line(failed=1), result_line()]
-    assert decide(perf_ab, [result_line()] * 2, head) == ["failed share"]
+    head = [run_output(failed=1), run_output()]
+    assert decide(perf_ab, [run_output()] * 2, head) == ["failed share"]
 
 
 def test_failed_share_no_higher_than_base_passes(perf_ab):
-    base = [result_line(correct=False, failed=2), result_line()]
-    head = [result_line(correct=True, attempted=200, failed=0), result_line()]
+    base = [run_output(correct=False, failed=2), run_output()]
+    head = [run_output(correct=True, attempted=200, failed=0), run_output()]
     assert decide(perf_ab, base, head) == []
 
 
@@ -108,7 +132,7 @@ def test_failed_share_pools_the_runs(perf_ab):
 
 
 def test_every_end_to_end_metric_is_checked(perf_ab):
-    runs = [perf_ab.parse_result(result_line())] * 2
+    runs = [perf_ab.parse_run(*run_output())] * 2
     checks = perf_ab.compare(runs, runs, END_TO_END)
     names = [line.split(":")[0] for _, line in checks]
     assert names == ["head run 1", "head run 2", "failed share",
@@ -120,33 +144,33 @@ def test_every_end_to_end_metric_is_checked(perf_ab):
 def test_regression_at_the_bound_passes(perf_ab, name, value):
     bound = next(m["bound"] for m in END_TO_END if m["name"] == name)
     assert (value - BASE_VALUES[name]) / BASE_VALUES[name] == pytest.approx(bound)
-    at_bound = result_line(**{name: value})
-    assert decide(perf_ab, [result_line()] * 2, [at_bound] * 2) == []
+    at_bound = run_output(**{name: value})
+    assert decide(perf_ab, [run_output()] * 2, [at_bound] * 2) == []
 
 
 def test_higher_is_better_metric_fails_when_it_drops(perf_ab):
     declared = [{"name": "wall_s", "unit": "s", "better": "higher", "bound": 0.1}]
-    base = [perf_ab.parse_result(result_line())] * 2
-    lower = [perf_ab.parse_result(result_line(wall_s=3.0))] * 2
-    higher = [perf_ab.parse_result(result_line(wall_s=6.0))] * 2
+    base = [perf_ab.parse_run(*run_output())] * 2
+    lower = [perf_ab.parse_run(*run_output(wall_s=3.0))] * 2
+    higher = [perf_ab.parse_run(*run_output(wall_s=6.0))] * 2
     assert [ok for ok, _ in perf_ab.compare(base, lower, declared)][-1] is False
     assert all(ok for ok, _ in perf_ab.compare(base, higher, declared))
 
 
 class FakePerfbench:
-    """Stands in for ``run_perfbench``: records each call, returns a result."""
+    """Stands in for ``run_perfbench``: records each call, returns a run."""
 
-    def __init__(self, perf_ab, head_line=None, crash_on=None):
+    def __init__(self, perf_ab, head_run=None, crash_on=None):
         self.perf_ab, self.calls = perf_ab, []
-        self.head_line, self.crash_on = head_line or result_line(), crash_on
+        self.head_run, self.crash_on = head_run or run_output(), crash_on
 
     def __call__(self, root, workload):
         self.calls.append((root, workload))
         side = "head" if root == self.perf_ab.HEAD else "base"
         if side == self.crash_on:
             raise RuntimeError(f"perfbench in {root} exited 1")
-        return self.perf_ab.parse_result(self.head_line if side == "head"
-                                         else result_line())
+        return self.perf_ab.parse_run(*(self.head_run if side == "head"
+                                        else run_output()))
 
 
 @pytest.mark.parametrize("argv", [[], ["base"], ["base", "w", "extra"]])
@@ -168,7 +192,7 @@ def test_main_runs_base_and_head_in_abba_order(perf_ab, monkeypatch, tmp_path, c
 
 
 def test_main_fails_on_a_slow_head(perf_ab, monkeypatch, tmp_path, capsys):
-    slow = result_line(wall_s=BASE_VALUES["wall_s"] * 2)
+    slow = run_output(wall_s=BASE_VALUES["wall_s"] * 2)
     monkeypatch.setattr(perf_ab, "run_perfbench", FakePerfbench(perf_ab, slow))
     assert perf_ab.main([str(tmp_path), "serve-exact-cold"]) == 1
     assert "FAIL wall_s" in capsys.readouterr().out
@@ -185,19 +209,61 @@ def test_main_fails_when_a_run_crashes(perf_ab, monkeypatch, tmp_path, capsys, s
 def test_run_perfbench_command_and_exit_status(perf_ab, monkeypatch, tmp_path, capsys):
     seen = {}
 
-    def fake_run(command, cwd, stdout, text):
+    def fake_run(command, cwd, stdout, stderr, text):
         seen.update(command=command, cwd=cwd)
         return SimpleNamespace(returncode=seen.get("returncode", 0),
-                               stdout=result_line())
+                               stdout=result_line(), stderr=rep_lines(wall_s=3.5))
 
     monkeypatch.setattr(perf_ab.subprocess, "run", fake_run)
     result = perf_ab.run_perfbench(str(tmp_path), "fleet-surrogate-ladder")
     assert result["correct"] is True
+    assert [rep["wall_s"] for rep in result["reps"]] == [3.5] * 3
     assert seen["cwd"] == str(tmp_path)
     assert seen["command"][1:] == [str(Path("perfbench") / "run.py"), "--workload",
                                    "fleet-surrogate-ladder", "--seed", "1",
                                    "--seconds", "30"]
-    assert '"correct": true' in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert '"correct": true' in out
+    assert "rep seed 1000: wall_s 3.5000" in err  # stderr passes through
     seen["returncode"] = 1
     with pytest.raises(RuntimeError):
         perf_ab.run_perfbench(str(tmp_path), "fleet-surrogate-ladder")
+
+
+def test_rep_lines_are_parsed(perf_ab):
+    stderr = rep_lines(wall_s=[4.0, 4.5, 3.9], setup_s=[0.3, 0.4, 0.35])
+    reps = perf_ab.parse_reps(stderr + "check failed: the memo was warm\n")
+    assert [rep["wall_s"] for rep in reps] == [4.0, 4.5, 3.9]
+    assert [rep["setup_s"] for rep in reps] == [0.3, 0.4, 0.35]
+    assert reps[0] == {"wall_s": 4.0, "setup_s": 0.3, "peak_rss_mb": 50.0, "speed": 0.8}
+
+
+def test_no_rep_lines_is_rejected(perf_ab):
+    with pytest.raises(ValueError):
+        perf_ab.parse_reps("== serve-exact-cold: head\nTraceback\n")
+    with pytest.raises(ValueError):
+        perf_ab.parse_run(result_line(), "")
+
+
+def test_the_repetitions_decide_not_the_result_medians(perf_ab):
+    # the result objects claim a 2x slower head; its repetitions do not
+    fast_reps = perf_ab.parse_reps(rep_lines())
+    head = [{**perf_ab.parse_result(result_line(wall_s=8.0)), "reps": fast_reps}] * 2
+    base = [perf_ab.parse_run(*run_output())] * 2
+    assert all(ok for ok, _ in perf_ab.compare(base, head, END_TO_END))
+
+
+def test_one_slow_process_start_does_not_fail_setup(perf_ab):
+    # one head run whose later process starts were slow: the median of the two
+    # runs' medians reads +33% (over the 25% bound), the pooled median +1.7%
+    base = [run_output(setup_s=[0.30, 0.30, 0.30])] * 2
+    head = [run_output(setup_s=[0.30, 0.50, 0.50]), run_output(setup_s=[0.29, 0.30, 0.31])]
+    results = [perf_ab.parse_result(out)["metrics"]["setup_s"]["value"] for out, _ in head]
+    assert statistics.median(results) / 0.30 - 1 > 0.25
+    assert decide(perf_ab, base, head) == []
+
+
+def test_pooled_median_still_fails_a_slow_side(perf_ab):
+    base = [run_output(reps=3), run_output(reps=4)]
+    head = [run_output(setup_s=[0.66, 0.7, 0.3]), run_output(setup_s=[0.7, 0.3, 0.64])]
+    assert decide(perf_ab, base, head) == ["setup_s"]

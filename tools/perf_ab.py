@@ -12,11 +12,18 @@ the four runs then weighs on both sides alike.  Each side runs its own
 ``better`` direction and their ``bound`` come from this checkout's
 ``BENCHMARK.json``.
 
+A side's value of a metric is the median of its per-repetition values, the
+``rep seed N: wall_s ... setup_s ... peak_rss_mb ...`` lines perfbench prints
+to stderr, pooled over both of the side's runs.  At ``--seconds 30`` a run
+has three or four repetitions, so this median sees six to eight values where
+the median of the two runs' results saw two, and one slow process start
+moves it less.
+
 The gate fails (exit 1) when the head
 
 - prints ``"correct": false`` in any run,
 - fails a larger share of its attempted operations than the base, or
-- has a median of an end-to-end metric worse than the base's median by more
+- has a pooled median of an end-to-end metric worse than the base's by more
   than the metric's bound, a fraction of the base median.
 
 A perfbench run that crashes fails the gate too.
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -36,12 +44,35 @@ SEED = 1
 SECONDS = 30
 
 
+#: perfbench's stderr line for one repetition: ``name value`` pairs
+REP_LINE = re.compile(r"rep seed \d+: (.*)")
+
+
 def parse_result(stdout: str) -> Dict:
     """The result object perfbench prints as its last stdout line."""
     lines = stdout.strip().splitlines()
     if not lines:
         raise ValueError("perfbench printed nothing")
     return json.loads(lines[-1])
+
+
+def parse_reps(stderr: str) -> List[Dict[str, float]]:
+    """The per-repetition values of perfbench's ``rep seed N:`` stderr lines."""
+    reps = []
+    for line in stderr.splitlines():
+        match = REP_LINE.fullmatch(line.strip())
+        if match:
+            words = match.group(1).split()
+            reps.append({name: float(value)
+                         for name, value in zip(words[::2], words[1::2])})
+    if not reps:
+        raise ValueError("perfbench printed no repetition lines")
+    return reps
+
+
+def parse_run(stdout: str, stderr: str) -> Dict:
+    """One run: its result object, with its repetitions under ``"reps"``."""
+    return {**parse_result(stdout), "reps": parse_reps(stderr)}
 
 
 def failed_share(results: Sequence[Dict]) -> float:
@@ -54,9 +85,9 @@ def compare(base: Sequence[Dict], head: Sequence[Dict],
             end_to_end: Sequence[Dict]) -> List[Tuple[bool, str]]:
     """The gate's checks of ``head`` against ``base`` as ``(ok, line)`` pairs.
 
-    ``base`` and ``head`` are parsed perfbench results, ``end_to_end`` the
-    metric declarations of ``BENCHMARK.json``.  The gate passes when every
-    check is ok.
+    ``base`` and ``head`` are parsed runs (:func:`parse_run`),
+    ``end_to_end`` the metric declarations of ``BENCHMARK.json``.  The gate
+    passes when every check is ok.
     """
     checks = [(r["correct"], f"head run {i + 1}: correct {r['correct']}")
               for i, r in enumerate(head)]
@@ -65,8 +96,8 @@ def compare(base: Sequence[Dict], head: Sequence[Dict],
                    f"failed share: base {base_share:.4f} head {head_share:.4f}"))
     for metric in end_to_end:
         name, bound = metric["name"], metric["bound"]
-        before = statistics.median(r["metrics"][name]["value"] for r in base)
-        after = statistics.median(r["metrics"][name]["value"] for r in head)
+        before = statistics.median(rep[name] for r in base for rep in r["reps"])
+        after = statistics.median(rep[name] for r in head for rep in r["reps"])
         worse = (after - before) if metric["better"] == "lower" else (before - after)
         change = worse / before if before else 0.0
         checks.append((change <= bound,
@@ -80,11 +111,13 @@ def run_perfbench(root: str, workload: str) -> Dict:
     command = [sys.executable, os.path.join("perfbench", "run.py"),
                "--workload", workload, "--seed", str(SEED),
                "--seconds", str(SECONDS)]
-    done = subprocess.run(command, cwd=root, stdout=subprocess.PIPE, text=True)
+    done = subprocess.run(command, cwd=root, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True)
     print(done.stdout, end="", flush=True)
+    print(done.stderr, end="", file=sys.stderr, flush=True)
     if done.returncode != 0:
         raise RuntimeError(f"perfbench in {root} exited {done.returncode}")
-    return parse_result(done.stdout)
+    return parse_run(done.stdout, done.stderr)
 
 
 def main(argv: Sequence[str]) -> int:
