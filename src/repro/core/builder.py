@@ -15,10 +15,11 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
+from .dims import Dim
 from .dtypes import ElemType, Selector, SelectorType, Tile, TileType
 from .errors import ShapeError
 from .graph import InputStream, StreamHandle
-from .shape import StreamShape
+from .shape import DimLike, StreamShape
 from .stream import Data, Token, nested_from_tokens, tokens_from_nested
 
 
@@ -34,20 +35,31 @@ def tile_input(name: str, num_tiles, tile_rows: int, tile_cols: int,
     return input_stream(name, shape, TileType(tile_rows, tile_cols, dtype))
 
 
+def batch_dim(count: Optional[DimLike]) -> DimLike:
+    """``count`` as a stream dimension; ``None`` is a fresh dynamic symbol.
+
+    A symbolic batch is bound only when tokens stream through, so one
+    program serves every batch size.
+    """
+    return Dim.dynamic(name="B") if count is None else count
+
+
 def row_stream_input(name: str, num_rows, row_width: int,
                      dtype: Union[str, ElemType] = "bf16") -> StreamHandle:
     """Declare a rank-1 stream of single-row tiles (shape ``[num_rows, 1]``).
 
     This matches the paper's MoE walk-through, where a ``[10, 64]`` activation
     matrix is streamed as a ``[10, 1]`` stream of ``[1, 64]`` tiles.
+    ``num_rows=None`` declares a symbolic row count (:func:`batch_dim`).
     """
-    shape = StreamShape([num_rows, 1])
+    shape = StreamShape([batch_dim(num_rows), 1])
     return input_stream(name, shape, TileType(1, row_width, dtype))
 
 
 def selector_input(name: str, count, num_targets: int) -> StreamHandle:
-    """Declare a rank-0 selector stream with ``count`` selector elements."""
-    shape = StreamShape([count])
+    """Declare a rank-0 selector stream with ``count`` selector elements
+    (``None``: a symbolic count, see :func:`batch_dim`)."""
+    shape = StreamShape([batch_dim(count)])
     return input_stream(name, shape, SelectorType(num_targets))
 
 

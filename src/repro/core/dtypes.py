@@ -46,6 +46,11 @@ class ElemType:
     nbytes: int
     numpy_dtype: object
 
+    def __hash__(self) -> int:
+        # element-cost memo keys hash a type per lookup; the name alone
+        # agrees with equality and skips hashing the numpy dtype
+        return hash(self.name)
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
 

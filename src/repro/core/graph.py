@@ -217,6 +217,9 @@ class Program:
                 raise GraphError(f"program sinks must be handles or operators, got {sink!r}")
         self.operators: List[OperatorBase] = self._collect(sink_ops)
         self._validate()
+        #: the simulator's :class:`~repro.sim.lowering.LoweringPlan`, computed
+        #: on first lowering (the operators above are fixed from here on)
+        self.lowering_plan = None
 
     # -- construction --------------------------------------------------------------
     @staticmethod
@@ -263,14 +266,6 @@ class Program:
                 if inp == handle:
                     found.append((op, port))
         return found
-
-    def edges(self) -> List[Tuple[StreamHandle, OperatorBase, int]]:
-        """All (producer handle, consumer op, consumer port) triples."""
-        out = []
-        for op in self.operators:
-            for port, handle in enumerate(op.inputs):
-                out.append((handle, op, port))
-        return out
 
     def topological_order(self) -> List[OperatorBase]:
         """Topological order over the acyclic part of the graph.

@@ -117,7 +117,7 @@ from .report import RequestRecord, ServingReport, StepSample
 from .streaming import (DEFAULT_SKETCH_ACCURACY, DEFAULT_WINDOW_CYCLES,
                         StreamingStats, make_streaming_stats,
                         resolve_report_mode)
-from .workload import STEP_TERMS, ServeStepWorkload, TermCost
+from .workload import STEP_TERMS, ServeStepWorkload, TermCost, clear_program_cache
 
 #: how a step's latency is produced: ``"exact"`` simulates every distinct
 #: step through the event engine (the historical path), ``"surrogate"``
@@ -192,11 +192,14 @@ _TERM_MEMOS: Dict[str, StepMemo] = {term: StepMemo() for term in STEP_TERMS}
 
 
 def clear_step_cache() -> int:
-    """Drop the in-process step-cost memos, the per-term ones and the
-    simulator's shared element-cost memo included, so the next run is cold
-    (returns the number of step-signature entries)."""
+    """Drop the in-process step-cost memos, the per-term ones, the shared
+    term programs (:func:`~repro.serve.workload.clear_program_cache`) and the
+    simulator's shared element-cost memo included, so the next run is cold:
+    it builds, lowers and simulates afresh (returns the number of
+    step-signature entries)."""
     for memo in _TERM_MEMOS.values():
         memo.clear()
+    clear_program_cache()
     clear_cost_memo()
     return _STEP_MEMO.clear()
 

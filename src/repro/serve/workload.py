@@ -28,7 +28,7 @@ pool and canonicalizable for content-hash caching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, Hashable,
                     NamedTuple, Optional, Tuple)
 
@@ -39,10 +39,10 @@ from ..platforms import resolve_platform
 from ..schedules import Schedule
 from ..sim import SimReport, simulate
 from ..sim.executors.common import HardwareConfig
-from ..workloads.attention import AttentionConfig, build_attention_layer
+from ..workloads.attention import AttentionConfig, AttentionProgram, build_attention_layer
 from ..workloads.configs import ModelConfig
-from ..workloads.moe import MoELayerConfig, build_moe_layer
-from ..workloads.qkv import QKVConfig, build_qkv_layer
+from ..workloads.moe import MoELayerConfig, MoEProgram, build_moe_layer
+from ..workloads.qkv import QKVConfig, QKVProgram, build_qkv_layer
 from .arrivals import ArrivalTrace
 from .policy import DEFAULT_POLICY
 
@@ -69,6 +69,41 @@ class TermCost(NamedTuple):
 
 #: ``lookup(term, key, simulate)`` -> the term's cost, memoized or simulated
 TermLookup = Callable[[str, Hashable, Callable[[], TermCost]], TermCost]
+
+
+# -- one symbolic-batch program per term context --------------------------------
+# A step term's program depends on the step only through its batch, which the
+# programs leave symbolic (bound by each run's input tokens), so steps of one
+# serving context share one built and lowering-planned program per term.  The
+# builders are looked up as module globals at call time, so wrapping them
+# (tracing, tests) sees each build.
+
+@lru_cache(maxsize=16)
+def _qkv_program(model: ModelConfig, compute_bw: int) -> QKVProgram:
+    return build_qkv_layer(QKVConfig(model=model, batch=None, compute_bw=compute_bw))
+
+
+@lru_cache(maxsize=16)
+def _attention_program(model: ModelConfig, strategy: str, num_regions: int,
+                       coarse_chunk: int, kv_tile_rows: int,
+                       compute_bw: int) -> AttentionProgram:
+    return build_attention_layer(AttentionConfig(
+        model=model, batch=None, strategy=strategy, num_regions=num_regions,
+        coarse_chunk=coarse_chunk, kv_tile_rows=kv_tile_rows, compute_bw=compute_bw))
+
+
+@lru_cache(maxsize=16)
+def _moe_program(model: ModelConfig, tile_rows: Optional[int],
+                 num_regions: Optional[int], compute_bw: int) -> MoEProgram:
+    return build_moe_layer(MoELayerConfig(
+        model=model, batch=None, tile_rows=tile_rows, num_regions=num_regions,
+        combine_output=num_regions is None, compute_bw=compute_bw))
+
+
+def clear_program_cache() -> None:
+    """Drop the shared term programs (and their lowering plans)."""
+    for cached in (_qkv_program, _attention_program, _moe_program):
+        cached.cache_clear()
 
 
 @register_workload
@@ -147,16 +182,15 @@ class ServeStepWorkload(WorkloadBase):
         return metrics
 
     def _qkv(self, schedule: Schedule, hardware: HardwareConfig) -> TermCost:
-        qkv = build_qkv_layer(QKVConfig(model=self.model, batch=self.num_tokens,
-                                        compute_bw=self.moe_compute_bw))
-        return TermCost.of(simulate(qkv.program, qkv.inputs(), hardware=hardware))
+        qkv = _qkv_program(self.model, self.moe_compute_bw)
+        return TermCost.of(simulate(qkv.program, qkv.inputs(num_rows=self.num_tokens),
+                                    hardware=hardware))
 
     def _attention(self, schedule: Schedule, hardware: HardwareConfig) -> TermCost:
         par = schedule.parallelization
-        attn = build_attention_layer(AttentionConfig(
-            model=self.model, batch=len(self.kv_lengths), strategy=par.strategy,
-            num_regions=par.num_regions, coarse_chunk=par.coarse_chunk,
-            kv_tile_rows=self.kv_tile_rows, compute_bw=self.attention_compute_bw))
+        attn = _attention_program(self.model, par.strategy, par.num_regions,
+                                  par.coarse_chunk, self.kv_tile_rows,
+                                  self.attention_compute_bw)
         return TermCost.of(simulate(attn.program, attn.inputs(list(self.kv_lengths)),
                                     hardware=hardware))
 
@@ -168,11 +202,8 @@ class ServeStepWorkload(WorkloadBase):
         assignments = representative_iteration(generate_routing_trace(
             self.model, batch_size=self.num_tokens, num_iterations=1,
             seed=self.routing_seed))
-        moe = build_moe_layer(MoELayerConfig(
-            model=self.model, batch=self.num_tokens, tile_rows=tile_rows,
-            num_regions=schedule.moe_num_regions,
-            combine_output=schedule.moe_num_regions is None,
-            compute_bw=self.moe_compute_bw))
+        moe = _moe_program(self.model, tile_rows, schedule.moe_num_regions,
+                           self.moe_compute_bw)
         return TermCost.of(simulate(moe.program, moe.inputs(assignments),
                                     hardware=hardware))
 

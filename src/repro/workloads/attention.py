@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.builder import matrix_to_row_tokens, row_stream_input, selector_input
+from ..core.builder import batch_dim, matrix_to_row_tokens, row_stream_input, selector_input
 from ..core.dims import Dim
 from ..core.dtypes import Address, AddressType, Selector, SelectorType, Tile, TileType
 from ..core.errors import ConfigError
@@ -89,7 +89,9 @@ class AttentionConfig:
     """Configuration of the decode-attention parallelization experiment."""
 
     model: ModelConfig
-    batch: int
+    #: requests in the batch, or ``None`` for a symbolic batch that the
+    #: runtime KV lengths bind (one program then serves every batch size)
+    batch: Optional[int]
     #: "coarse", "interleave" or "dynamic"
     strategy: str = "interleave"
     num_regions: int = 4
@@ -117,7 +119,7 @@ class AttentionConfig:
         return self.model.kv_dim
 
     def label(self) -> str:
-        return f"attention_{self.model.name}_b{self.batch}_{self.strategy}"
+        return f"attention_{self.model.name}_b{self.batch or 'B'}_{self.strategy}"
 
 
 @dataclass
@@ -132,22 +134,19 @@ class AttentionProgram:
                queries: Optional[np.ndarray] = None) -> Dict[str, List[Token]]:
         """Runtime token streams from per-request KV-cache lengths."""
         config = self.config
-        if len(kv_lengths) != config.batch:
+        batch = len(kv_lengths)
+        if config.batch is not None and batch != config.batch:
             raise ConfigError(
-                f"kv_lengths must cover the batch ({config.batch}), got {len(kv_lengths)}")
+                f"kv_lengths must cover the batch ({config.batch}), got {batch}")
         tokens: Dict[str, List[Token]] = {
-            "q": matrix_to_row_tokens(queries, num_rows=config.batch, row_width=config.width),
+            "q": matrix_to_row_tokens(queries, num_rows=batch, row_width=config.width),
             "kv_addr": _address_tokens(kv_lengths, config.kv_tile_rows),
         }
         if config.strategy == "dynamic":
             tokens["start"] = tokens_from_nested([Tile.meta(1, 1, "i32")], rank=0)
         else:
-            tokens["assign"] = _static_assignment_tokens(config)
+            tokens["assign"] = _static_assignment_tokens(config, batch)
         return tokens
-
-    def static_assignment(self) -> List[int]:
-        """The per-request region assignment of the static strategies."""
-        return _static_assignment(self.config)
 
 
 def _address_tokens(kv_lengths: Sequence[int], kv_tile_rows: int) -> List[Token]:
@@ -161,15 +160,16 @@ def _address_tokens(kv_lengths: Sequence[int], kv_tile_rows: int) -> List[Token]
     return tokens_from_nested(groups, rank=1)
 
 
-def _static_assignment(config: AttentionConfig) -> List[int]:
+def _static_assignment(config: AttentionConfig, batch: int) -> List[int]:
     if config.strategy == "coarse":
         return [min(i // config.coarse_chunk, config.num_regions - 1)
-                for i in range(config.batch)]
-    return [i % config.num_regions for i in range(config.batch)]
+                for i in range(batch)]
+    return [i % config.num_regions for i in range(batch)]
 
 
-def _static_assignment_tokens(config: AttentionConfig) -> List[Token]:
-    values = [Selector(region, config.num_regions) for region in _static_assignment(config)]
+def _static_assignment_tokens(config: AttentionConfig, batch: int) -> List[Token]:
+    values = [Selector(region, config.num_regions)
+              for region in _static_assignment(config, batch)]
     return tokens_from_nested(values, rank=0)
 
 
@@ -190,7 +190,7 @@ def _region_pipeline(q_branch: StreamHandle, addr_branch: StreamHandle,
 def build_attention_layer(config: AttentionConfig) -> AttentionProgram:
     """Build the decode-attention program for the selected parallelization strategy."""
     q = row_stream_input("q", config.batch, config.width)
-    addr_shape = StreamShape([config.batch, Dim.ragged(name="L")])
+    addr_shape = StreamShape([batch_dim(config.batch), Dim.ragged(name="L")])
     kv_addr = InputStream(addr_shape, AddressType(), name="kv_addr").stream
 
     if config.strategy == "dynamic":
@@ -210,8 +210,9 @@ def build_attention_layer(config: AttentionConfig) -> AttentionProgram:
     addr_part = Partition(kv_addr, selector, rank=1, num_consumers=config.num_regions,
                           name="route_addr")
 
+    q_branches, addr_branches = q_part.outputs, addr_part.outputs
     region_outputs = [
-        _region_pipeline(q_part.outputs[r], addr_part.outputs[r], config, f"region{r}")
+        _region_pipeline(q_branches[r], addr_branches[r], config, f"region{r}")
         for r in range(config.num_regions)
     ]
 

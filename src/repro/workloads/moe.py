@@ -56,7 +56,9 @@ class MoELayerConfig:
     """Configuration of one MoE layer experiment."""
 
     model: ModelConfig
-    batch: int
+    #: tokens in the batch, or ``None`` for a symbolic batch that the runtime
+    #: assignments bind (one program then serves every batch size)
+    batch: Optional[int]
     #: static batch-tile size per expert, or ``None`` for dynamic tiling
     tile_rows: Optional[int] = 32
     #: number of column tiles for the expert weight matrices
@@ -101,7 +103,7 @@ class MoELayerConfig:
     def label(self) -> str:
         tiling = "dynamic" if self.dynamic_tiling else f"tile{self.tile_rows}"
         regions = "" if self.num_regions is None else f"_regions{self.num_regions}"
-        return f"moe_{self.model.name}_b{self.batch}_{tiling}{regions}"
+        return f"moe_{self.model.name}_b{self.batch or 'B'}_{tiling}{regions}"
 
 
 @dataclass
@@ -117,11 +119,11 @@ class MoEProgram:
                activations: Optional[np.ndarray] = None) -> Dict[str, List[Token]]:
         """Runtime token streams from per-token expert assignments."""
         config = self.config
-        if len(assignments) != config.batch:
+        if config.batch is not None and len(assignments) != config.batch:
             raise ConfigError(
                 f"assignments must cover the batch ({config.batch}), got {len(assignments)}")
         if activations is None:
-            tokens_x = matrix_to_row_tokens(None, num_rows=config.batch,
+            tokens_x = matrix_to_row_tokens(None, num_rows=len(assignments),
                                             row_width=config.model.hidden_dim)
         else:
             tokens_x = matrix_to_row_tokens(activations)
@@ -134,7 +136,7 @@ class MoEProgram:
                   activations: np.ndarray) -> np.ndarray:
         """Numpy reference: sum of the selected experts' SwiGLU outputs per token."""
         activations = np.asarray(activations, dtype=np.float32)
-        out = np.zeros((self.config.batch, self.config.model.hidden_dim), dtype=np.float32)
+        out = np.zeros((len(assignments), self.config.model.hidden_dim), dtype=np.float32)
         for token, experts in enumerate(assignments):
             row = activations[token:token + 1]
             for expert in experts:
@@ -196,8 +198,9 @@ def build_moe_layer(config: MoELayerConfig) -> MoEProgram:
     router = selector_input("router", config.batch, model.num_experts)
     partition = Partition(x, router, rank=1, num_consumers=model.num_experts, name="route")
 
+    branches = partition.outputs
     packed_streams = [
-        _pack_rows(partition.outputs[e], config, f"expert{e}")
+        _pack_rows(branches[e], config, f"expert{e}")
         for e in range(model.num_experts)
     ]
 

@@ -30,13 +30,15 @@ class QKVConfig:
     """Configuration of the QKV-generation layer."""
 
     model: ModelConfig
-    batch: int
+    #: rows in the batch, or ``None`` for a symbolic batch that the runtime
+    #: inputs bind (one program then serves every batch size)
+    batch: Optional[int]
     num_regions: int = 4
     weight_col_tiles: int = 4
     compute_bw: int = 8192
 
     def __post_init__(self) -> None:
-        if self.batch <= 0:
+        if self.batch is not None and self.batch <= 0:
             raise ConfigError("batch must be positive")
         if self.num_regions <= 0:
             raise ConfigError("num_regions must be positive")
@@ -46,7 +48,7 @@ class QKVConfig:
         return self.model.q_dim + 2 * self.model.kv_dim
 
     def label(self) -> str:
-        return f"qkv_{self.model.name}_b{self.batch}"
+        return f"qkv_{self.model.name}_b{self.batch or 'B'}"
 
 
 @dataclass
@@ -54,11 +56,20 @@ class QKVProgram:
     program: Program
     config: QKVConfig
 
-    def inputs(self, activations: Optional[np.ndarray] = None) -> Dict[str, List[Token]]:
+    def inputs(self, activations: Optional[np.ndarray] = None,
+               num_rows: Optional[int] = None) -> Dict[str, List[Token]]:
+        """Runtime token streams: ``activations`` or ``num_rows`` metadata-only
+        rows (the configured batch when neither is given)."""
         config = self.config
-        assignment = [i % config.num_regions for i in range(config.batch)]
+        if activations is not None:
+            num_rows = len(activations)
+        elif num_rows is None:
+            num_rows = config.batch
+        if num_rows is None:
+            raise ConfigError("a symbolic-batch QKV program needs activations or num_rows")
+        assignment = [i % config.num_regions for i in range(num_rows)]
         return {
-            "x": matrix_to_row_tokens(activations, num_rows=config.batch,
+            "x": matrix_to_row_tokens(activations, num_rows=num_rows,
                                       row_width=config.model.hidden_dim),
             "assign": selectors_to_tokens(assignment, config.num_regions),
         }
@@ -75,10 +86,11 @@ def build_qkv_layer(config: QKVConfig) -> QKVProgram:
     assign = selector_input("assign", config.batch, config.num_regions)
     partition = Partition(x, assign, rank=1, num_consumers=config.num_regions, name="route")
 
+    branches = partition.outputs
     region_outputs = []
     for region in range(config.num_regions):
         prefix = f"region{region}"
-        flat = Flatten(partition.outputs[region], 0, 1, name=f"{prefix}_flat")
+        flat = Flatten(branches[region], 0, 1, name=f"{prefix}_flat")
         grouped = Promote(flat.output, name=f"{prefix}_promote")
         packed = Accum(grouped.output, RetileRow(), rank=1, compute_bw=0,
                        name=f"{prefix}_pack")

@@ -119,10 +119,11 @@ def build_simple_moe(config: Optional[SimpleMoEConfig] = None,
     partition = Partition(x, router, rank=1, num_consumers=config.num_experts,
                           name="route")
 
+    branches = partition.outputs
     expert_streams: List[StreamHandle] = []
     for expert in range(config.num_experts):
         prefix = f"expert{expert}"
-        branch = partition.outputs[expert]
+        branch = branches[expert]
 
         # -- Pack to tile: group rows into [tile_rows, hidden] tiles -------------------
         flat_rows = Flatten(branch, 0, 1, name=f"{prefix}_flatten_rows")

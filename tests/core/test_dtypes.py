@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.dims import Dim
 from repro.core.dtypes import (BF16, F32, Address, AddressType, BufferHandle, BufferType,
-                               Selector, SelectorType, Tile, TileType, TupleType,
+                               ElemType, Selector, SelectorType, Tile, TileType, TupleType,
                                TupleValue, elem_type, value_nbytes)
 from repro.core.errors import ShapeError, TypeMismatchError
 from repro.core.stream import Data, Stop
@@ -21,6 +21,16 @@ class TestElemTypes:
     def test_byte_widths(self):
         assert BF16.nbytes == 2
         assert F32.nbytes == 4
+
+    def test_hash_agrees_with_equality(self):
+        # hashed on the name alone (element-cost memo keys hash one per lookup)
+        twin = ElemType("bf16", 2, np.float32)
+        assert twin == BF16 and twin is not BF16
+        assert hash(twin) == hash(BF16) == hash("bf16")
+        assert {twin: 1}[BF16] == 1
+        builtins = [elem_type(name) for name in ("bf16", "f32", "f16", "i32", "i8", "bool")]
+        assert len(set(builtins)) == 6
+        assert len({hash(t) for t in builtins}) == 6
 
 
 class TestTileType:

@@ -232,6 +232,16 @@ class TestTermMemo:
                 return _builder(cfg)
 
             monkeypatch.setattr(workload, f"build_{term}_layer", counting)
+
+        # each term's program is named after its layer ("qkv_...", "moe_...")
+        simulations = {term: 0 for term in STEP_TERMS}
+        simulate = workload.simulate
+
+        def simulating(program, inputs, **kwargs):
+            simulations[program.name.split("_")[0]] += 1
+            return simulate(program, inputs, **kwargs)
+
+        monkeypatch.setattr(workload, "simulate", simulating)
         monkeypatch.setattr(scheduler, "_step_cycles", recording)
 
         trace = poisson_trace(rate=400.0, num_requests=8, seed=4,
@@ -248,9 +258,12 @@ class TestTermMemo:
 
         terms = term_cache_stats()
         assert step_cache_stats()["misses"] == report.distinct_steps == len(set(seen))
-        assert terms["qkv"]["misses"] == len(token_counts) == builds["qkv"]
-        assert terms["moe"]["misses"] == len(token_counts) == builds["moe"]
-        assert terms["attention"]["misses"] == len(kv_tuples) == builds["attention"]
+        assert terms["qkv"]["misses"] == len(token_counts) == simulations["qkv"]
+        assert terms["moe"]["misses"] == len(token_counts) == simulations["moe"]
+        assert (terms["attention"]["misses"] == len(kv_tuples)
+                == simulations["attention"])
+        # one symbolic-batch program per term serves every step of the run
+        assert builds == {term: 1 for term in STEP_TERMS}
 
     def test_clear_step_cache_clears_the_term_memos(self, model):
         trace = trace_from_lists([0.0], [32], [2], name="one")

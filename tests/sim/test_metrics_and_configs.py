@@ -143,6 +143,32 @@ class TestLowering:
         with pytest.raises(GraphError):
             lowered.output_tokens("nope")
 
+    def test_a_program_is_planned_once_and_lowered_per_run(self):
+        program, _ = self._program()
+        assert program.lowering_plan is None
+        first = lower(program, inputs=self._tokens())
+        plan = program.lowering_plan
+        bounded = HardwareConfig(channel_capacity=1, channel_latency=3.0)
+        second = lower(program, inputs=self._tokens(), hardware=bounded)
+        assert program.lowering_plan is plan
+        # the plan holds names and indices; each run gets its own channels,
+        # with the run's capacity and latency
+        assert [c.name for c in first.engine.channels] == [
+            "x.stream->scale.in0", "scale.out0->buf.in0", "scale.out0->store.in0",
+            "buf.out0->collect"]
+        assert [c.name for c in second.engine.channels] == plan.channel_names
+        assert not set(map(id, first.engine.channels)) & set(map(id, second.engine.channels))
+        assert {(c.capacity, c.latency) for c in second.engine.channels} == {(1, 3.0)}
+        assert [p.name for p in second.engine.processes] == [
+            "x", "scale", "buf", "store", "collect:buf.out0"]
+        # lowering again on the same hardware repeats the run exactly
+        runs = [simulate(program, self._tokens()) for _ in range(2)]
+        assert program.lowering_plan is plan
+        assert runs[0].to_dict() == runs[1].to_dict()
+        assert runs[0].metrics.per_op == runs[1].metrics.per_op
+        stored = [list(map(repr, run.output_tokens("store"))) for run in runs]
+        assert stored[0] == stored[1] and len(stored[0]) == 4
+
     def test_report_outputs_and_utilization(self):
         program, _ = self._program()
         report = simulate(program, self._tokens())

@@ -126,6 +126,43 @@ class TestMoELayer:
         assert muxed_report.allocated_compute < spatial_report.allocated_compute
         assert muxed_report.compute_utilization > spatial_report.compute_utilization
 
+    def test_symbolic_batch_serves_every_batch(self, rng):
+        model = tiny_moe_model(num_experts=3, top_k=2)
+        built = build_moe_layer(MoELayerConfig(
+            model=model, batch=None, tile_rows=2, weight_col_tiles=2,
+            with_payload=True, collect_output=True))
+        assert not built.program.input_named("x").stream.shape.outermost().is_static
+        for assignments in ([(0, 1), (1, 2), (0, 2)], [(2, 0)] * 7):
+            x = rng.standard_normal((len(assignments), model.hidden_dim)).astype(np.float32)
+            report = run_functional(built.program,
+                                    built.inputs(assignments, activations=x * 0.1))
+            out = tokens_to_matrix(report.output_tokens(built.output_name))
+            assert np.allclose(out, built.reference(assignments, x * 0.1),
+                               rtol=1e-2, atol=1e-2)
+        concrete = build_moe_layer(MoELayerConfig(model=model, batch=3))
+        with pytest.raises(ConfigError, match="cover the batch"):
+            concrete.inputs([(0, 1)] * 4)
+
+    @pytest.mark.parametrize("variant", [{}, {"num_regions": 4, "combine_output": False}])
+    def test_handle_views_are_linear_in_the_expert_count(self, monkeypatch, variant):
+        from dataclasses import replace
+
+        from repro.core.graph import StreamHandle
+
+        views = []
+        init = StreamHandle.__init__
+
+        def counting(handle, producer, port):
+            views.append(port)
+            init(handle, producer, port)
+
+        monkeypatch.setattr(StreamHandle, "__init__", counting)
+        model = replace(scaled_config(QWEN3_30B_A3B, scale=32), num_experts=128)
+        build_moe_layer(MoELayerConfig(model=model, batch=None, **variant))
+        # ~41 views per expert; one fresh `partition.outputs` per expert
+        # loop iteration made 128 ** 2 = 16,384 more
+        assert len(views) < 48 * 128
+
     def test_invalid_configs(self):
         model = tiny_moe_model()
         with pytest.raises(ConfigError):
@@ -185,3 +222,13 @@ class TestQKV:
         report = simulate(built.program, built.inputs())
         assert report.offchip_traffic > 0
         assert report.cycles > 0
+
+    def test_symbolic_batch_takes_the_rows_from_the_inputs(self):
+        model = scaled_config(MIXTRAL_8X7B, scale=32)
+        symbolic = build_qkv_layer(QKVConfig(model=model, batch=None, num_regions=2))
+        concrete = build_qkv_layer(QKVConfig(model=model, batch=5, num_regions=2))
+        assert symbolic.program.name.endswith("_bB")
+        assert (simulate(symbolic.program, symbolic.inputs(num_rows=5)).to_dict()
+                == simulate(concrete.program, concrete.inputs()).to_dict())
+        with pytest.raises(ConfigError, match="num_rows"):
+            symbolic.inputs()
