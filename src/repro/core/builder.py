@@ -20,7 +20,7 @@ from .dtypes import ElemType, Selector, SelectorType, Tile, TileType
 from .errors import ShapeError
 from .graph import InputStream, StreamHandle
 from .shape import DimLike, StreamShape
-from .stream import Data, Token, nested_from_tokens, tokens_from_nested
+from .stream import DONE, Data, Token, nested_from_tokens, stop_token, tokens_from_nested
 
 
 def input_stream(name: str, shape, dtype) -> StreamHandle:
@@ -75,20 +75,26 @@ def matrix_to_row_tokens(matrix: Optional[np.ndarray], num_rows: Optional[int] =
 
     When ``matrix`` is ``None``, metadata-only tiles of shape
     ``[1, row_width]`` are produced (``num_rows`` and ``row_width`` required).
+    Each row is one tile closed by ``S1``: the stream
+    :func:`~repro.core.stream.tokens_from_nested` makes of one-tile rows,
+    emitted directly.
     """
     if matrix is not None:
         matrix = np.asarray(matrix)
         num_rows, row_width = matrix.shape
     if num_rows is None or row_width is None:
         raise ShapeError("matrix_to_row_tokens needs either a matrix or explicit dimensions")
-    rows = []
+    stop = stop_token(1)
+    tokens: List[Token] = []
     for index in range(num_rows):
         if matrix is not None and with_data:
             tile = Tile.from_array(matrix[index:index + 1, :], dtype)
         else:
             tile = Tile.meta(1, row_width, dtype)
-        rows.append([tile])
-    return tokens_from_nested(rows, rank=1)
+        tokens.append(Data(tile))
+        tokens.append(stop)
+    tokens.append(DONE)
+    return tokens
 
 
 def tiles_to_tokens(tiles: Sequence[Tile]) -> List[Token]:
@@ -99,8 +105,9 @@ def tiles_to_tokens(tiles: Sequence[Tile]) -> List[Token]:
 def selectors_to_tokens(choices: Sequence[Union[int, Sequence[int]]],
                         num_targets: int) -> List[Token]:
     """A rank-0 selector token stream from per-element routing decisions."""
-    values = [Selector(choice, num_targets) for choice in choices]
-    return tokens_from_nested(values, rank=0)
+    tokens: List[Token] = [Data(Selector(choice, num_targets)) for choice in choices]
+    tokens.append(DONE)
+    return tokens
 
 
 def counts_to_tokens(count: int, value=1) -> List[Token]:

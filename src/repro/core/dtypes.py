@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -45,10 +45,16 @@ class ElemType:
     name: str
     nbytes: int
     numpy_dtype: object
+    #: the fields equality compares, as a tuple: hot dictionary keys (the
+    #: element-cost memo's) hold it instead of the type, so hashing them
+    #: stays in C and unequal types never share a key
+    key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (self.name, self.nbytes, self.numpy_dtype))
 
     def __hash__(self) -> int:
-        # element-cost memo keys hash a type per lookup; the name alone
-        # agrees with equality and skips hashing the numpy dtype
+        # the name alone agrees with equality and skips hashing the numpy dtype
         return hash(self.name)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

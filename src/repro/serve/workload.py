@@ -37,7 +37,7 @@ from ..core.errors import ConfigError
 from ..data.expert_routing import generate_routing_trace, representative_iteration
 from ..platforms import resolve_platform
 from ..schedules import Schedule
-from ..sim import SimReport, simulate
+from ..sim import SimReport, collector_paused, simulate
 from ..sim.executors.common import HardwareConfig
 from ..workloads.attention import AttentionConfig, AttentionProgram, build_attention_layer
 from ..workloads.configs import ModelConfig
@@ -161,10 +161,13 @@ class ServeStepWorkload(WorkloadBase):
                  ("attention", self.kv_lengths, self._attention),
                  ("moe", (self.num_tokens, self.routing_seed), self._moe))
         costs: Dict[str, TermCost] = {}
-        for term, key, cost in terms:
-            simulate_term = partial(cost, schedule, hardware)
-            costs[term] = (simulate_term() if lookup is None
-                           else lookup(term, key, simulate_term))
+        # the routing draw, input tokens and term simulations allocate in
+        # bursts that reference counting frees; the collector waits
+        with collector_paused():
+            for term, key, cost in terms:
+                simulate_term = partial(cost, schedule, hardware)
+                costs[term] = (simulate_term() if lookup is None
+                               else lookup(term, key, simulate_term))
 
         layer_cycles = sum(c.cycles for c in costs.values())
         metrics: Dict[str, float] = {

@@ -18,7 +18,7 @@ from .channel import Channel
 from .engine import Engine, Process
 from .hbm import BankedHBM, HBMModel
 from .metrics import SimMetrics
-from .runner import SimReport, simulate, run_functional
+from .runner import SimReport, collector_paused, simulate, run_functional
 
 __all__ = [
     "Channel",
@@ -29,5 +29,6 @@ __all__ = [
     "SimMetrics",
     "SimReport",
     "simulate",
+    "collector_paused",
     "run_functional",
 ]

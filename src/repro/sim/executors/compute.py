@@ -154,12 +154,15 @@ def map_executor(op: Map, ins: Sequence[Channel], outs: Sequence[Sequence[Channe
 
 
 def _shape_key(values) -> Optional[tuple]:
-    """The memo key of metadata-only tile inputs, or None if any carries data."""
+    """The memo key of metadata-only tile inputs, or None if any carries data.
+
+    A tile's dtype enters as its :attr:`~repro.core.dtypes.ElemType.key`, so
+    the key hashes in C."""
     key = []
     for value in values:
         if type(value) is not Tile or value.data is not None:
             return None
-        key.append((value.rows, value.cols, value.dtype))
+        key.append((value.rows, value.cols, value.dtype.key))
     return tuple(key)
 
 
@@ -167,7 +170,7 @@ def _tile_key(value) -> Optional[tuple]:
     """The memo key of one metadata-only tile, or None."""
     if type(value) is not Tile or value.data is not None:
         return None
-    return (value.rows, value.cols, value.dtype)
+    return (value.rows, value.cols, value.dtype.key)
 
 
 def _element_costs(op: Map, ctx: OpContext, values: list) -> tuple:
@@ -249,7 +252,7 @@ def _accum_key(value, state) -> Optional[tuple]:
     if type(value) is Tile:
         if value.data is not None:
             return None
-        value_key = (value.rows, value.cols, value.dtype)
+        value_key = (value.rows, value.cols, value.dtype.key)
     elif type(value) is TupleValue:
         value_key = _shape_key(value.elements)
         if value_key is None:
@@ -260,7 +263,7 @@ def _accum_key(value, state) -> Optional[tuple]:
         return (value_key, None)
     if type(state) is not Tile or state.data is not None:
         return None
-    return (value_key, (state.rows, state.cols, state.dtype))
+    return (value_key, (state.rows, state.cols, state.dtype.key))
 
 
 def _accum_costs(op: Accum, ctx: OpContext, value, state) -> tuple:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..core.graph import Program
 from ..core.stream import Token, data_values
@@ -132,6 +134,27 @@ class SimReport:
         return cls(cycles=metrics.cycles, metrics=metrics)
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Switch the cyclic garbage collector off for the ``with`` block.
+
+    Building, feeding and simulating a program allocates many objects that
+    reference counting frees (run state is acyclic), yet each allocation
+    burst triggers collections that scan every live graph and token list.
+    The block runs with the collector off; on exit, exceptions included, the
+    caller's state is restored, so a nested block changes nothing.  Cyclic
+    garbage made inside waits for the first collection after the block.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 def simulate(program: Program, inputs: Optional[Dict[str, Sequence[Token]]] = None,
              hardware: Optional[HardwareConfig] = None, timed: bool = True,
              hbm: Optional[HBMModel] = None,
@@ -143,10 +166,11 @@ def simulate(program: Program, inputs: Optional[Dict[str, Sequence[Token]]] = No
     collapsed to zero (useful as a reference interpreter).
     """
     hardware = hardware or HardwareConfig()
-    lowered = lower(program, inputs=inputs, hardware=hardware, timed=timed, hbm=hbm,
-                    input_rates=input_rates)
-    metrics = lowered.run()
-    outputs = {name: lowered.output_tokens(name) for name in lowered.sink_contexts}
+    with collector_paused():
+        lowered = lower(program, inputs=inputs, hardware=hardware, timed=timed,
+                        hbm=hbm, input_rates=input_rates)
+        metrics = lowered.run()
+        outputs = {name: lowered.output_tokens(name) for name in lowered.sink_contexts}
     return SimReport(cycles=metrics.cycles, metrics=metrics, outputs=outputs,
                      hardware=hardware)
 

@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
+from ..sim.runner import collector_paused
 from .cache import ResultCache
 from .spec import SweepPoint, SweepSpec
 from .tasks import get_task, task_accepts_seed
@@ -45,13 +46,15 @@ def execute_point(point: SweepPoint) -> Dict[str, float]:
 
     The point's derived seed is passed as ``seed=`` when the task accepts one
     (directly or via ``**kwargs``); tasks without a seed parameter simply run
-    without it.
+    without it.  The point's graph build and simulation run with the cyclic
+    collector paused (:func:`~repro.sim.runner.collector_paused`).
     """
     task = get_task(point.task)
     kwargs = point.kwargs()
     if "seed" not in kwargs and task_accepts_seed(point.task):
         kwargs["seed"] = point.seed
-    return task(**kwargs)
+    with collector_paused():
+        return task(**kwargs)
 
 
 @dataclass

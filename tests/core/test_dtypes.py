@@ -23,11 +23,14 @@ class TestElemTypes:
         assert F32.nbytes == 4
 
     def test_hash_agrees_with_equality(self):
-        # hashed on the name alone (element-cost memo keys hash one per lookup)
+        # hashed on the name alone; ``key`` holds every field equality compares
         twin = ElemType("bf16", 2, np.float32)
         assert twin == BF16 and twin is not BF16
         assert hash(twin) == hash(BF16) == hash("bf16")
         assert {twin: 1}[BF16] == 1
+        assert twin.key == BF16.key and hash(twin.key) == hash(BF16.key)
+        wide = ElemType("bf16", 4, np.float32)
+        assert wide != BF16 and wide.key != BF16.key
         builtins = [elem_type(name) for name in ("bf16", "f32", "f16", "i32", "i8", "bool")]
         assert len(set(builtins)) == 6
         assert len({hash(t) for t in builtins}) == 6

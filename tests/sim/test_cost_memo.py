@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.sim.executors.compute as compute
 from repro.core.dims import Dim
-from repro.core.dtypes import Tile, TileType
+from repro.core.dtypes import BF16, ElemType, Tile, TileType
 from repro.core.graph import InputStream, Program
 from repro.core.shape import StreamShape
 from repro.core.stream import Data, Done, Stop, tokens_from_nested
@@ -184,10 +184,15 @@ class TestSharedMemo:
         assert counts  # cold again: the run costs its elements afresh
 
 
+#: equal to BF16 in name (and so in hash) but not in width: memo keys must
+#: keep the two apart
+WIDE_BF16 = ElemType("bf16", 4, np.float32)
+
 #: one operator over (4, 32) metadata tiles; each twin below differs from its
 #: sibling in one part of the memo key, and in the costs it yields
 KERNEL = {"fn": "scale", "bw": 512, "load": False, "store": False,
-          "timing_model": "roofline", "onchip_bandwidth": 64.0, "compute_tile": 16}
+          "timing_model": "roofline", "onchip_bandwidth": 64.0, "compute_tile": 16,
+          "dtype": BF16}
 KERNEL_FNS = {
     "scale": lambda: ("Map", Scale(2.0)),
     "row-sum": lambda: ("Map", RowSum()),
@@ -205,6 +210,10 @@ TWINS = {
                      {"store": True, "timing_model": "detailed"}),
     "function parameters": ({"fn": "split-1"}, {"fn": "split-2"}),
     "accum compute_bw": ({"fn": "sum", "bw": 1}, {"fn": "sum", "bw": 64}),
+    "dtype": ({"store": True, "dtype": WIDE_BF16}, {"store": True}),
+    "accum dtype": ({"fn": "sum", "bw": 1, "dtype": WIDE_BF16}, {"fn": "sum", "bw": 1}),
+    "flatmap dtype": ({"fn": "split-2", "store": True, "dtype": WIDE_BF16},
+                      {"fn": "split-2", "store": True}),
 }
 
 
@@ -212,11 +221,13 @@ def _kernel(overrides):
     """A built one-operator program and its hardware."""
     spec = {**KERNEL, **overrides}
     if spec["load"]:
-        source = LinearOffChipLoad(in_mem_shape=(4, 96), tile_shape=(4, 32)).output
+        source = LinearOffChipLoad(in_mem_shape=(4, 96), tile_shape=(4, 32),
+                                   dtype=spec["dtype"]).output
         inputs = {}
     else:
-        source = InputStream(StreamShape([1, 1, 3]), TileType(4, 32), name="in").stream
-        inputs = {"in": tokens_from_nested([[[Tile.meta(4, 32)] * 3]], 2)}
+        source = InputStream(StreamShape([1, 1, 3]), TileType(4, 32, spec["dtype"]),
+                             name="in").stream
+        inputs = {"in": tokens_from_nested([[[Tile.meta(4, 32, spec["dtype"])] * 3]], 2)}
     kind, fn = KERNEL_FNS[spec["fn"]]()
     op = {"Map": Map, "Accum": Accum, "FlatMap": FlatMap}[kind]
     out = op(source, fn, compute_bw=spec["bw"]).output
@@ -239,6 +250,26 @@ class TestKeyParts:
         assert _observe_run(*first) != _observe_run(*_kernel(TWINS[part][1]))
         # the memo now holds the sibling's costs: the twin must not take them
         assert _observe_run(*second) == cold
+
+
+class TestShapeKeys:
+    def test_keys_hold_no_elem_type(self):
+        # a key hashes in C: an ElemType would hash through Python
+        def flat(key):
+            return [x for part in key for x in (flat(part) if type(part) is tuple
+                                                 else [part])]
+
+        tile, wide = Tile.meta(4, 32), Tile.meta(4, 32, WIDE_BF16)
+        keys = [compute._shape_key([tile, wide]), compute._tile_key(tile),
+                compute._accum_key(wide, tile)]
+        assert not any(isinstance(part, ElemType) for key in keys for part in flat(key))
+
+    def test_equal_dtypes_share_a_key_and_unequal_ones_do_not(self):
+        twin = ElemType("bf16", 2, np.float32)
+        assert twin == BF16 and twin is not BF16
+        assert compute._tile_key(Tile.meta(4, 32, twin)) == compute._tile_key(Tile.meta(4, 32))
+        assert compute._tile_key(Tile.meta(4, 32, WIDE_BF16)) != \
+            compute._tile_key(Tile.meta(4, 32))
 
 
 class TestCostKey:

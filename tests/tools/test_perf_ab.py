@@ -27,11 +27,15 @@ def perf_ab():
     return module
 
 
-def result_line(correct=True, attempted=100, failed=0, **values) -> str:
+DIGESTS = ["0" * 16, "1" * 16, "2" * 16]
+
+
+def result_line(correct=True, attempted=100, failed=0, digests=DIGESTS, **values) -> str:
     """A perfbench stdout tail: the digest line, then the result object."""
     metrics = {m["name"]: {"value": values.get(m["name"], BASE_VALUES[m["name"]]),
                            "unit": m["unit"]} for m in END_TO_END}
-    digest = json.dumps({"workload": "w", "seed": 1, "digests": ["0" * 16]})
+    digest = json.dumps({"workload": "w", "seed": 1, "digests": digests,
+                         "summaries": [{} for _ in digests]})
     result = json.dumps({"correct": correct, "attempted": attempted,
                          "failed": failed, "metrics": metrics})
     return f"{digest}\n{result}\n"
@@ -51,12 +55,12 @@ def rep_lines(reps=3, seed=1, **values) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_output(correct=True, attempted=100, failed=0, reps=3, **values):
+def run_output(correct=True, attempted=100, failed=0, reps=3, digests=DIGESTS, **values):
     """One synthetic perfbench run: ``(stdout, stderr)``.  Its result object
     holds the median of the repetitions, as perfbench's does."""
     medians = {name: statistics.median(v) for name, v in values.items()
                if isinstance(v, list)}
-    return (result_line(correct, attempted, failed, **{**values, **medians}),
+    return (result_line(correct, attempted, failed, digests, **{**values, **medians}),
             rep_lines(reps, **values))
 
 
@@ -157,6 +161,35 @@ def test_higher_is_better_metric_fails_when_it_drops(perf_ab):
     assert all(ok for ok, _ in perf_ab.compare(base, higher, declared))
 
 
+def test_digests_are_the_second_to_last_stdout_line(perf_ab):
+    out, err = run_output(digests=["ab" * 8, "cd" * 8])
+    assert perf_ab.parse_digests(out) == ["ab" * 8, "cd" * 8]
+    assert perf_ab.parse_run(out, err)["digests"] == ["ab" * 8, "cd" * 8]
+    with pytest.raises(ValueError):
+        perf_ab.parse_digests(out.strip().splitlines()[-1])
+
+
+def test_equal_digests_are_reported_equal(perf_ab):
+    runs = [perf_ab.parse_run(*run_output()) for _ in range(2)]
+    assert perf_ab.digest_line(runs, runs) == "digests: equal"
+
+
+def test_differing_digests_name_both_sides(perf_ab):
+    base = [perf_ab.parse_run(*run_output(digests=["aa", "bb"]))] * 2
+    head = [perf_ab.parse_run(*run_output(digests=["aa", "cc"]))] * 2
+    assert perf_ab.digest_line(base, head) == "digests: differ (base aa,bb, head aa,cc)"
+    # one head run of two that differs is enough
+    mixed = [head[0], base[0]]
+    assert perf_ab.digest_line(base, mixed) == \
+        "digests: differ (base aa,bb, head aa,bb | aa,cc)"
+
+
+def test_differing_digests_do_not_fail_the_gate(perf_ab):
+    base = [perf_ab.parse_run(*run_output())] * 2
+    head = [perf_ab.parse_run(*run_output(digests=["ff" * 8] * 3))] * 2
+    assert all(ok for ok, _ in perf_ab.compare(base, head, END_TO_END))
+
+
 class FakePerfbench:
     """Stands in for ``run_perfbench``: records each call, returns a run."""
 
@@ -188,7 +221,18 @@ def test_main_runs_base_and_head_in_abba_order(perf_ab, monkeypatch, tmp_path, c
     base = str(tmp_path.resolve())
     assert fake.calls == [(base, "paper-figures"), (perf_ab.HEAD, "paper-figures"),
                           (perf_ab.HEAD, "paper-figures"), (base, "paper-figures")]
-    assert "FAIL" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert out.splitlines()[-1] == "digests: equal"
+
+
+def test_main_reports_differing_digests_and_still_passes(perf_ab, monkeypatch, tmp_path,
+                                                         capsys):
+    other = run_output(digests=["ff" * 8])
+    monkeypatch.setattr(perf_ab, "run_perfbench", FakePerfbench(perf_ab, other))
+    assert perf_ab.main([str(tmp_path), "paper-figures"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"digests: differ (base {','.join(DIGESTS)}, head {'ff' * 8})"
 
 
 def test_main_fails_on_a_slow_head(perf_ab, monkeypatch, tmp_path, capsys):

@@ -27,6 +27,12 @@ The gate fails (exit 1) when the head
   than the metric's bound, a fraction of the base median.
 
 A perfbench run that crashes fails the gate too.
+
+After the checks the gate prints ``digests: equal`` when every run of both
+sides printed the same digests of the simulated results (perfbench's
+second-to-last stdout line), and ``digests: differ (base ..., head ...)``
+otherwise.  That line is informational: a change may alter results on
+purpose, and the goldens and tests judge whether it should.
 """
 
 from __future__ import annotations
@@ -70,9 +76,19 @@ def parse_reps(stderr: str) -> List[Dict[str, float]]:
     return reps
 
 
+def parse_digests(stdout: str) -> List[str]:
+    """The result digests perfbench prints on its second-to-last stdout line."""
+    lines = stdout.strip().splitlines()
+    if len(lines) < 2:
+        raise ValueError("perfbench printed no digest line")
+    return json.loads(lines[-2])["digests"]
+
+
 def parse_run(stdout: str, stderr: str) -> Dict:
-    """One run: its result object, with its repetitions under ``"reps"``."""
-    return {**parse_result(stdout), "reps": parse_reps(stderr)}
+    """One run: its result object, with its repetitions under ``"reps"`` and
+    its digests under ``"digests"``."""
+    return {**parse_result(stdout), "reps": parse_reps(stderr),
+            "digests": parse_digests(stdout)}
 
 
 def failed_share(results: Sequence[Dict]) -> float:
@@ -104,6 +120,15 @@ def compare(base: Sequence[Dict], head: Sequence[Dict],
                        f"{name}: base {before:.4g} head {after:.4g} "
                        f"{metric['unit']} (worse by {change:+.1%}, bound {bound:.0%})"))
     return checks
+
+
+def digest_line(base: Sequence[Dict], head: Sequence[Dict]) -> str:
+    """Whether every run of both sides simulated the same results."""
+    sides = [{tuple(r["digests"]) for r in runs} for runs in (base, head)]
+    if len(sides[0] | sides[1]) == 1:
+        return "digests: equal"
+    shown = [" | ".join(",".join(digests) for digests in sorted(side)) for side in sides]
+    return f"digests: differ (base {shown[0]}, head {shown[1]})"
 
 
 def run_perfbench(root: str, workload: str) -> Dict:
@@ -140,6 +165,7 @@ def main(argv: Sequence[str]) -> int:
     checks = compare(results["base"], results["head"], end_to_end)
     for ok, line in checks:
         print(f"{'ok  ' if ok else 'FAIL'} {line}")
+    print(digest_line(results["base"], results["head"]))
     return 0 if all(ok for ok, _ in checks) else 1
 
 
