@@ -22,9 +22,8 @@ counts and FLOP counts flow through the machine.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,8 +45,9 @@ class ElemType:
     nbytes: int
     numpy_dtype: object
     #: the fields equality compares, as a tuple: hot dictionary keys (the
-    #: element-cost memo's) hold it instead of the type, so hashing them
-    #: stays in C and unequal types never share a key
+    #: element-cost memo's, the metadata-tile interning table's) hold it
+    #: instead of the type, so hashing them stays in C and unequal types
+    #: never share a key
     key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -379,9 +379,21 @@ class Address(Value):
         return f"Address({self.value})"
 
 
-@lru_cache(maxsize=1024)
+#: entry cap of the metadata-tile interning table (emptied whole when full)
+_META_TILES_MAXSIZE = 1024
+#: (rows, cols, dtype.key) -> the shared metadata tile.  Keyed on the dtype's
+#: field tuple, so a lookup hashes in C and unequal dtypes never share a tile
+_META_TILES: Dict[Tuple[int, int, tuple], "Tile"] = {}
+
+
 def _shared_meta_tile(rows: int, cols: int, dtype: "ElemType") -> "Tile":
-    return Tile(rows, cols, dtype, None)
+    key = (rows, cols, dtype.key)
+    tile = _META_TILES.get(key)
+    if tile is None:
+        if len(_META_TILES) >= _META_TILES_MAXSIZE:
+            _META_TILES.clear()
+        tile = _META_TILES[key] = Tile(rows, cols, dtype, None)
+    return tile
 
 
 class BufferHandle(Value):

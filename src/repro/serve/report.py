@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ConfigError
 from .arrivals import MCYCLE
@@ -239,6 +239,27 @@ class StepSample:
                    kv_pages=int(payload.get("kv_pages", 0)),
                    kv_capacity_pages=int(payload.get("kv_capacity_pages", 0)),
                    preemptions=int(payload.get("preemptions", 0)))
+
+
+class ExactSamples:
+    """The full-mode statistics sink: every record and step sample, kept.
+
+    It takes the positional fields :class:`~repro.serve.streaming.
+    StreamingStats` takes, in the order of :class:`RequestRecord` and
+    :class:`StepSample`, and builds one of those per call.
+    """
+
+    __slots__ = ("records", "steps")
+
+    def __init__(self) -> None:
+        self.records: List[RequestRecord] = []
+        self.steps: List[StepSample] = []
+
+    def observe_request(self, *fields) -> None:
+        self.records.append(RequestRecord(*fields))
+
+    def observe_step(self, *fields) -> None:
+        self.steps.append(StepSample(*fields))
 
 
 @dataclass

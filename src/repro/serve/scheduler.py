@@ -97,7 +97,8 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple
+from typing import (Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple,
+                    Union)
 
 from ..core.errors import ConfigError
 from ..platforms import PlatformLike, resolve_platform
@@ -113,7 +114,7 @@ from .memory import (EVICTION_POLICIES, KV_MODES, EvictionPolicy, KVPagePool,
 from .policy import (AdmissionPolicy, BatchingPolicy, PriorityPolicy,
                      ServePolicy, resolve_serve_policy)
 from .registry import resolve_registered
-from .report import RequestRecord, ServingReport, StepSample
+from .report import ExactSamples, ServingReport
 from .streaming import (DEFAULT_SKETCH_ACCURACY, DEFAULT_WINDOW_CYCLES,
                         StreamingStats, make_streaming_stats,
                         resolve_report_mode)
@@ -405,7 +406,7 @@ class ReplicaEngine:
     """One continuous-batching server, steppable from the outside.
 
     The engine owns a clock (``now``, in cycles), a waiting queue, the
-    running batch and the records/steps it has produced.  A driver — the
+    running batch and the statistics sink its steps feed.  A driver — the
     single-engine :func:`simulate_serving` loop or the fleet dispatcher in
     :mod:`repro.serve.fleet` — feeds it requests with :meth:`submit` and moves
     time with :meth:`advance_to` / :meth:`step` / :meth:`drain`.
@@ -457,14 +458,13 @@ class ReplicaEngine:
             resolve_registered("priority", policy.priority)(policy)
         self._waiting: Deque[_Active] = deque()
         self._running: List[_Active] = []
-        self._records: List[RequestRecord] = []
-        self._steps: List[StepSample] = []
         self._signatures: Dict[Tuple, float] = {}
         self._busy_cycles = 0.0
-        # streaming mode folds records/steps into sketches instead of lists
-        self._stream: Optional[StreamingStats] = (
+        # the statistics sink, fed each completion's and each step's fields:
+        # streaming mode folds them into sketches, full mode keeps them all
+        self._sink: Union[StreamingStats, ExactSamples] = (
             make_streaming_stats(config.sketch_accuracy, config.window_cycles)
-            if config.report_mode == "streaming" else None)
+            if config.report_mode == "streaming" else ExactSamples())
         self._warmed = self.warmup_cycles == 0.0
         # -- finite KV memory (None capacity = unbounded, the legacy path) -----------
         self._pool: Optional[KVPagePool] = None
@@ -526,10 +526,6 @@ class ReplicaEngine:
         return float(self._pool.free_pages)
 
     @property
-    def steps(self) -> Tuple[StepSample, ...]:
-        return tuple(self._steps)
-
-    @property
     def busy_cycles(self) -> float:
         return self._busy_cycles
 
@@ -570,6 +566,7 @@ class ReplicaEngine:
         self._preemptions += 1
         active.needs_prefill = True
         active.context_done = 0
+        active.chunk = 0  # a planned participant leaves the step
         self._waiting.appendleft(active)
 
     def _try_admit_at(self, idx: int) -> bool:
@@ -665,7 +662,7 @@ class ReplicaEngine:
                 secured.add(active.request.request_id)
         return [(a, c) for a, c in plan if a in survivors]
 
-    def step(self) -> StepSample:
+    def step(self) -> None:
         """Run one scheduler iteration: admit, plan, simulate, advance."""
         if not self.has_work:
             raise ConfigError(f"replica {self.replica_id}: step() with no work")
@@ -680,38 +677,26 @@ class ReplicaEngine:
             self._warmed = True
         preemptions_before = self._preemptions
         self._admit()
-        plan = self._batching.plan(self._running)
-        self._check_plan(plan)
-        if self._pool is not None and self._running:
+        running = self._running
+        plan = self._batching.plan(running)
+        if running and not plan:
+            raise ConfigError(
+                f"batching policy {self.config.policy.batching!r} planned an "
+                f"empty step for a non-empty batch")
+        num_tokens, prefills, kv_lengths = self._sign(plan)
+        pool = self._pool
+        if pool is not None and running:
             # evicted requests re-queue at the *front* and compete for
             # admission again at the next step's _admit
-            plan = self._secure_kv(plan)
-
-        running = self._running
-        # one pass over the plan: the step signature, its counts, and each
-        # participant's chunk for the completion loop below
-        tile = self.config.kv_tile_rows
-        num_tokens = prefills = 0
-        rows: List[int] = []
-        for active, chunk in plan:
-            active.chunk = chunk
-            if active.needs_prefill:
-                prefills += 1
-                num_tokens += chunk
-                kv = active.context_done + chunk
-            else:
-                num_tokens += 1
-                kv = active.kv_length
-            rows.append(-(-kv // tile) * tile)  # quantize_up(kv, tile); kv >= 1
-        rows.sort()
-        kv_lengths = tuple(rows)
+            secured = self._secure_kv(plan)
+            if len(secured) < len(plan):
+                num_tokens, prefills, kv_lengths = self._sign(secured)
         if self._cost_fn is None:
             cycles = _step_cycles(self.config, self.schedule, self.hardware,
                                   self._context, num_tokens, kv_lengths,
                                   self._signatures)
         else:
             cycles = self._cost_fn(num_tokens, kv_lengths, self._signatures)
-        pool = self._pool
         if pool is not None:
             occupancy, fragmentation = pool.occupancy, pool.fragmentation
             self._occ_samples += 1
@@ -723,8 +708,9 @@ class ReplicaEngine:
         # read before completions release their pages
         kv_pages = pool.used_pages if pool is not None else 0
         self._busy_cycles += cycles
-        self.now += cycles
+        self.now = now = start + cycles
 
+        sink = self._sink
         kv_rows = 0  # the batch's KV as the step was issued
         still: List[_Active] = []
         for active in running:
@@ -741,53 +727,65 @@ class ReplicaEngine:
                     continue
                 # prefill complete: this step emits the (re-)first token
                 if active.generated == 0:
-                    active.first_token = self.now
+                    active.first_token = now
                 active.needs_prefill = False
             active.generated += 1
-            if active.generated >= active.request.output_tokens:
+            request = active.request
+            if active.generated >= request.output_tokens:
                 if pool is not None:
-                    pool.release(active.request.request_id)
-                record = RequestRecord(
-                    request_id=active.request.request_id,
-                    arrival=active.request.arrival,
-                    first_token=active.first_token,
-                    completion=self.now,
-                    prompt_tokens=active.request.prompt_tokens,
-                    output_tokens=active.request.output_tokens,
-                    priority=active.priority)
-                if self._stream is not None:
-                    self._stream.observe_request(record)
-                else:
-                    self._records.append(record)
+                    pool.release(request.request_id)
+                sink.observe_request(
+                    request.request_id, request.arrival, active.first_token,
+                    now, request.prompt_tokens, request.output_tokens,
+                    active.priority)
             else:
                 still.append(active)
         self._running = still
-        sample = StepSample(
-            start=start, cycles=cycles, running=len(running),
-            queued=len(self._waiting), tokens=num_tokens, prefills=prefills,
-            kv_rows=kv_rows, kv_pages=kv_pages,
-            kv_capacity_pages=pool.capacity_pages if pool is not None else 0,
-            preemptions=self._preemptions - preemptions_before)
-        if self._stream is not None:
-            self._stream.observe_step(sample)
-        else:
-            self._steps.append(sample)
-        return sample
+        sink.observe_step(
+            start, cycles, len(running), len(self._waiting), num_tokens,
+            prefills, kv_rows, kv_pages,
+            pool.capacity_pages if pool is not None else 0,
+            self._preemptions - preemptions_before)
 
-    def _check_plan(self, plan: StepPlan) -> None:
-        """Reject malformed plans early (guards custom batching policies)."""
-        if self._running and not plan:
-            raise ConfigError(
-                f"batching policy {self.config.policy.batching!r} planned an "
-                f"empty step for a non-empty batch")
+    def _sign(self, plan: StepPlan) -> Tuple[int, int, Tuple[int, ...]]:
+        """Check ``plan`` and sign the step it describes, in one pass.
+
+        Each participant's chunk is set on it for the completion loop.
+        Returns the step's token count, its prefill count and its KV lengths,
+        each quantized up to ``kv_tile_rows``, sorted: the step signature.
+        A malformed plan (guards custom batching policies) raises before any
+        KV is secured or any runner preempted, with no chunk left set.
+        """
+        tile = self.config.kv_tile_rows
+        num_tokens = prefills = 0
+        rows: List[int] = []
         for active, chunk in plan:
-            limit = (active.kv_length - active.context_done
-                     if active.needs_prefill else 1)
-            if not 1 <= chunk <= limit:
-                raise ConfigError(
-                    f"batching policy {self.config.policy.batching!r} planned "
-                    f"{chunk} tokens for request "
-                    f"{active.request.request_id} (valid: 1..{limit})")
+            if active.needs_prefill:
+                limit = active.kv_length - active.context_done
+                if not 1 <= chunk <= limit:
+                    self._reject(plan, active, chunk, limit)
+                prefills += 1
+                num_tokens += chunk
+                kv = active.context_done + chunk
+            else:
+                if chunk != 1:
+                    self._reject(plan, active, chunk, 1)
+                num_tokens += 1
+                kv = active.kv_length
+            active.chunk = chunk
+            rows.append(-(-kv // tile) * tile)  # quantize_up(kv, tile); kv >= 1
+        rows.sort()
+        return num_tokens, prefills, tuple(rows)
+
+    def _reject(self, plan: StepPlan, active: _Active, chunk: int,
+                limit: int) -> None:
+        """Raise for a chunk outside ``1..limit``, clearing the plan's chunks."""
+        for planned, _ in plan:
+            planned.chunk = 0
+        raise ConfigError(
+            f"batching policy {self.config.policy.batching!r} planned "
+            f"{chunk} tokens for request "
+            f"{active.request.request_id} (valid: 1..{limit})")
 
     def advance_to(self, cycle: float) -> None:
         """Step until the clock reaches ``cycle`` (or the engine runs dry).
@@ -823,15 +821,20 @@ class ReplicaEngine:
 
     def report(self, trace_name: str) -> ServingReport:
         """The engine's history as a :class:`ServingReport` (sorted records)."""
-        records = sorted(self._records, key=lambda r: r.request_id)
+        sink = self._sink
+        if isinstance(sink, ExactSamples):
+            records = sorted(sink.records, key=lambda r: r.request_id)
+            steps, streaming = sink.steps, None
+        else:
+            records, steps, streaming = (), (), sink
         return ServingReport(trace=trace_name, schedule=self.schedule.name,
                              batch_cap=self.config.batch_cap,
-                             requests=tuple(records), steps=tuple(self._steps),
+                             requests=tuple(records), steps=tuple(steps),
                              total_cycles=self.now,
                              distinct_steps=len(self._signatures),
                              memory=self._memory_stats(),
                              policy=self.config.policy.describe(),
-                             streaming=self._stream)
+                             streaming=streaming)
 
 
 def simulate_serving(config: ServeConfig, trace: ArrivalTrace,

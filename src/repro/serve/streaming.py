@@ -28,9 +28,12 @@ what keeps million-request capacity studies from running.  This module is the
   of a streaming run is O(windows + sketch buckets), independent of the
   request count.
 
-Everything here is duck-typed against the record/step objects (attribute
-access only) so the module imports nothing from :mod:`repro.serve.report` —
-``report`` imports *us* for the streaming field on ``ServingReport``.
+The engine feeds :class:`StreamingStats` a completion's or a step's fields as
+positional arguments, in the order of the record and sample classes, so no
+record or sample object is built per event.  The module imports nothing from
+:mod:`repro.serve.report` — ``report`` imports *us* for the streaming field
+on ``ServingReport``; :meth:`WindowedTimeline.observe` reads any object with
+the ``StepSample`` attributes.
 """
 
 from __future__ import annotations
@@ -88,33 +91,55 @@ class QuantileSketch:
 
     def observe(self, value: float) -> None:
         """Fold one observation into the sketch."""
-        self._fold(value, ())
+        value = float(value)
+        if value < 0.0:
+            raise ConfigError(f"QuantileSketch observes latencies (>= 0), "
+                              f"got {value}")
+        if value == 0.0:
+            self.zero_count += 1
+        else:
+            index = self._bucket_index(value)
+            self._buckets[index] = self._buckets.get(index, 0) + 1
+        self.count += 1
+        # strict tests keep the first of equal values, as min()/max() do
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        self.sum += value
 
-    def _fold(self, value: float, twins: Tuple["QuantileSketch", ...]) -> None:
-        """Fold ``value`` into this sketch and each of ``twins``.
+    def _observe_pair(self, value: float, twin: "QuantileSketch") -> None:
+        """Fold ``value`` into this sketch and ``twin``.
 
-        The twins must share this sketch's ``rel_accuracy``: the value's
-        bucket is computed once for all of them, and each ends up exactly as
-        after its own :meth:`observe`.
+        The twin must share this sketch's ``rel_accuracy``: the value is
+        bucketed once for both, and each ends up exactly as after its own
+        :meth:`observe`.
         """
         value = float(value)
         if value < 0.0:
             raise ConfigError(f"QuantileSketch observes latencies (>= 0), "
                               f"got {value}")
-        index = None if value == 0.0 else self._bucket_index(value)
-        for sketch in (self, *twins):
-            if index is None:
-                sketch.zero_count += 1
-            else:
-                buckets = sketch._buckets
-                buckets[index] = buckets.get(index, 0) + 1
-            sketch.count += 1
-            # strict tests keep the first of equal values, as min()/max() do
-            if value < sketch.min:
-                sketch.min = value
-            if value > sketch.max:
-                sketch.max = value
-            sketch.sum += value
+        if value == 0.0:
+            self.zero_count += 1
+            twin.zero_count += 1
+        else:
+            index = math.ceil(math.log(value) / self._log_gamma)
+            buckets = self._buckets
+            buckets[index] = buckets.get(index, 0) + 1
+            buckets = twin._buckets
+            buckets[index] = buckets.get(index, 0) + 1
+        self.count += 1
+        twin.count += 1
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        if value < twin.min:
+            twin.min = value
+        if value > twin.max:
+            twin.max = value
+        self.sum += value
+        twin.sum += value
 
     @property
     def mean(self) -> float:
@@ -235,13 +260,20 @@ class _Window:
         self.preemptions = 0
 
     def observe(self, sample) -> None:
+        """Count one step (anything with the ``StepSample`` attributes)."""
+        self.add(sample.cycles, sample.running, sample.queued, sample.tokens,
+                 sample.prefills, sample.kv_rows, sample.kv_pages,
+                 sample.kv_capacity_pages, sample.preemptions)
+
+    def add(self, cycles: float, running: int, queued: int, tokens: int,
+            prefills: int, kv_rows: int, kv_pages: int,
+            kv_capacity_pages: int, preemptions: int) -> None:
+        """Count one step given its ``StepSample`` fields after ``start``."""
         # once per step: plain comparisons instead of max() calls
-        queued, running = sample.queued, sample.running
-        kv_rows, kv_pages = sample.kv_rows, sample.kv_pages
         self.steps += 1
-        self.cycles += sample.cycles
-        self.tokens += sample.tokens
-        self.prefills += sample.prefills
+        self.cycles += cycles
+        self.tokens += tokens
+        self.prefills += prefills
         self.queued_sum += queued
         if queued > self.queued_max:
             self.queued_max = queued
@@ -254,9 +286,9 @@ class _Window:
         self.kv_pages_sum += kv_pages
         if kv_pages > self.kv_pages_max:
             self.kv_pages_max = kv_pages
-        if sample.kv_capacity_pages > self.kv_capacity_pages:
-            self.kv_capacity_pages = sample.kv_capacity_pages
-        self.preemptions += sample.preemptions
+        if kv_capacity_pages > self.kv_capacity_pages:
+            self.kv_capacity_pages = kv_capacity_pages
+        self.preemptions += preemptions
 
     def merge(self, other: "_Window") -> None:
         self.steps += other.steps
@@ -305,11 +337,16 @@ class WindowedTimeline:
         self._windows: Dict[int, _Window] = {}
 
     def observe(self, sample) -> None:
-        index = int(sample.start // self.window_cycles)
+        """Count one step (anything with the ``StepSample`` attributes)."""
+        self.window_at(sample.start).observe(sample)
+
+    def window_at(self, start: float) -> _Window:
+        """The window a step issued at cycle ``start`` lands in."""
+        index = int(start // self.window_cycles)
         window = self._windows.get(index)
         if window is None:
             window = self._windows[index] = _Window()
-        window.observe(sample)
+        return window
 
     @property
     def num_windows(self) -> int:
@@ -417,10 +454,12 @@ class WindowedTimeline:
 class StreamingStats:
     """Everything a streaming-mode serving run reports, in O(1) memory.
 
-    The engine feeds :meth:`observe_step` once per scheduler step and
-    :meth:`observe_request` once per completion — instead of appending to the
-    full-mode record/step lists — and :class:`~repro.serve.report.
-    ServingReport` dispatches its aggregates here when the field is present.
+    The engine's statistics sink in streaming mode.  The engine calls
+    :meth:`observe_step` once per scheduler step and :meth:`observe_request`
+    once per completion, each with the fields the full-mode sink
+    (:class:`~repro.serve.report.ExactSamples`) keeps as a record or sample;
+    :class:`~repro.serve.report.ServingReport` dispatches its aggregates here
+    when the field is present.
     """
 
     def __init__(self, rel_accuracy: float = DEFAULT_SKETCH_ACCURACY,
@@ -447,22 +486,34 @@ class StreamingStats:
             }
         return trio
 
-    def observe_request(self, record) -> None:
-        """Fold one completed request (anything with the record attributes)."""
-        self.num_requests += 1
-        self.total_output_tokens += record.output_tokens
-        trio = self._class_sketches(record.priority)
-        # each latency is bucketed once, for the run and its priority class
-        self.ttft._fold(record.ttft, (trio["ttft"],))
-        self.e2e._fold(record.e2e, (trio["e2e"],))
-        if record.output_tokens > 1:
-            self.tpot._fold(record.tpot, (trio["tpot"],))
+    def observe_request(self, request_id: int, arrival: float,
+                        first_token: float, completion: float,
+                        prompt_tokens: int, output_tokens: int,
+                        priority: int) -> None:
+        """Fold one completed request, given the ``RequestRecord`` fields.
 
-    def observe_step(self, sample) -> None:
-        """Fold one scheduler step (anything with the StepSample attributes)."""
+        TTFT, TPOT and e2e use the record's arithmetic, and each latency is
+        bucketed once for the run and its priority class.
+        """
+        self.num_requests += 1
+        self.total_output_tokens += output_tokens
+        trio = self._class_sketches(priority)
+        self.ttft._observe_pair(first_token - arrival, trio["ttft"])
+        self.e2e._observe_pair(completion - arrival, trio["e2e"])
+        if output_tokens > 1:
+            self.tpot._observe_pair(
+                (completion - first_token) / (output_tokens - 1), trio["tpot"])
+
+    def observe_step(self, start: float, cycles: float, running: int,
+                     queued: int, tokens: int, prefills: int, kv_rows: int,
+                     kv_pages: int, kv_capacity_pages: int,
+                     preemptions: int) -> None:
+        """Fold one scheduler step, given the ``StepSample`` fields."""
         self.num_steps += 1
-        self.busy_cycles += sample.cycles
-        self.timeline.observe(sample)
+        self.busy_cycles += cycles
+        self.timeline.window_at(start).add(
+            cycles, running, queued, tokens, prefills, kv_rows, kv_pages,
+            kv_capacity_pages, preemptions)
 
     # -- the ServingReport-facing aggregates -----------------------------------------
     def queue_depth(self) -> Dict[str, float]:

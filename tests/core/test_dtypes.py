@@ -82,6 +82,30 @@ class TestTileValue:
         with pytest.raises(TypeMismatchError):
             t.to_array()
 
+    def test_shared_meta_tiles_follow_dtype_equality(self):
+        twin = ElemType("bf16", 2, np.float32)
+        wide = ElemType("bf16", 4, np.float32)  # hashes as BF16, unequal to it
+        shared = Tile.meta_shared(4, 4, BF16)
+        assert Tile.meta_shared(4, 4, "bf16") is shared
+        assert Tile.meta_shared(4, 4, twin) is shared
+        other = Tile.meta_shared(4, 4, wide)
+        assert other is not shared
+        assert other.dtype == wide and other.nbytes == 4 * 4 * 4
+        assert shared.dtype == BF16 and shared.nbytes == 4 * 4 * 2
+        assert Tile.meta_shared(4, 8, BF16) is not shared
+
+    def test_shared_meta_tiles_are_interned_in_a_bounded_table(self, monkeypatch):
+        from repro.core import dtypes
+
+        monkeypatch.setattr(dtypes, "_META_TILES", {})
+        monkeypatch.setattr(dtypes, "_META_TILES_MAXSIZE", 4)
+        tiles = [Tile.meta_shared(rows, 2) for rows in range(1, 10)]
+        assert len(dtypes._META_TILES) <= 4
+        assert [t.rows for t in tiles] == list(range(1, 10))
+        # no interning key holds an ElemType, whose hash runs in Python
+        assert not any(isinstance(part, ElemType)
+                       for key in dtypes._META_TILES for part in key)
+
     def test_1d_array_promoted_to_row(self):
         t = Tile.from_array(np.arange(5))
         assert t.shape == (1, 5)

@@ -372,3 +372,97 @@ class TestServeWorkloadPolicy:
                                             prefill_chunk=16)), trace)
         keys = {stable_hash(canonicalize(w)) for w in (a, b, c)}
         assert len(keys) == 3
+
+
+#: the test-only batching policy's plan for the step in flight: a function of
+#: the running batch, swapped by each test
+_PLAN = {}
+
+
+@pytest.fixture
+def scripted_batching():
+    """A registered batching policy that plans whatever ``_PLAN`` says."""
+    @register_batching_policy("test-scripted-plan")
+    class ScriptedBatching(BatchingPolicy):
+        def plan(self, running):
+            return _PLAN["plan"](running)
+
+    try:
+        yield "test-scripted-plan"
+    finally:
+        from repro.serve.policy import BATCHING_POLICIES
+        del BATCHING_POLICIES["test-scripted-plan"]
+        _PLAN.clear()
+
+
+def _remaining(active):
+    return active.kv_length - active.context_done
+
+
+#: (first step's chunk per prefilling runner, the malformed second plan,
+#: today's message for it); the malformed entry is the plan's last, so the
+#: runners planned before it have their chunk set when the check fails
+MALFORMED_PLANS = {
+    "empty-plan": (64, lambda running: [],
+                   "planned an empty step for a non-empty batch"),
+    "zero-token-chunk": (
+        64, lambda running: [(a, _remaining(a)) for a in running[:-1]]
+        + [(running[-1], 0)],
+        r"planned 0 tokens for request 1 \(valid: 1\.\.63\)"),
+    "chunk-past-the-context": (
+        64, lambda running: [(a, _remaining(a)) for a in running[:-1]]
+        + [(running[-1], 64)],
+        r"planned 64 tokens for request 1 \(valid: 1\.\.63\)"),
+    "two-tokens-for-a-decode": (
+        127, lambda running: [(a, 1) for a in running[:-1]]
+        + [(running[-1], 2)],
+        r"planned 2 tokens for request 1 \(valid: 1\.\.1\)"),
+}
+
+
+class TestPlanValidation:
+    """A malformed plan raises before any KV is secured or runner preempted.
+
+    Two 127-token prompts fill the 4-page pool of ``sda-hbm-small`` at
+    admission; after a full prefill the next decode needs a third page per
+    runner, so a valid second step preempts.
+    """
+
+    def _engine(self, batching, hardware, first_chunk):
+        from repro.serve.scheduler import ReplicaEngine
+
+        config = ServeConfig(model=serve_model(), batch_cap=4, num_layers=2,
+                             policy=ServePolicy(batching=batching))
+        engine = ReplicaEngine(config, Schedule.dynamic(), hardware)
+        trace = trace_from_lists([0.0] * 2, [127] * 2, [8] * 2, name="plan")
+        for request in trace.requests:
+            engine.submit(request)
+        _PLAN["plan"] = lambda running: [
+            (a, min(first_chunk, _remaining(a))) for a in running]
+        engine.step()
+        assert engine.queued == 0 and len(engine._running) == 2
+        return engine
+
+    @pytest.mark.parametrize("hardware", [None, "sda-hbm-small"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PLANS))
+    def test_malformed_plan_raises_before_kv_is_touched(
+            self, scripted_batching, hardware, case):
+        first_chunk, malformed, message = MALFORMED_PLANS[case]
+        engine = self._engine(scripted_batching, hardware, first_chunk)
+        pool = engine._pool
+        before = (engine.now, engine._preemptions,
+                  None if pool is None else (pool.used_pages, pool.used_rows))
+        _PLAN["plan"] = malformed
+        with pytest.raises(ConfigError, match=message):
+            engine.step()
+        assert (engine.now, engine._preemptions,
+                None if pool is None else (pool.used_pages, pool.used_rows)
+                ) == before
+        assert all(a.chunk == 0 for a in engine._running)
+
+    def test_a_valid_second_step_preempts(self, scripted_batching):
+        engine = self._engine(scripted_batching, "sda-hbm-small", 127)
+        assert engine._pool.used_pages == engine._pool.capacity_pages == 4
+        _PLAN["plan"] = lambda running: [(a, 1) for a in running]
+        engine.step()
+        assert engine._preemptions > 0

@@ -13,13 +13,18 @@ The contract under test (:mod:`repro.serve.streaming`):
   ``tracemalloc``,
 * ``StreamingStats.observe_request`` buckets each latency once for the run
   and its priority class, and both sketches end up exactly as if each had
-  observed the value on its own (a property over generated records).
+  observed the value on its own (a property over generated records),
+* the engine's two statistics sinks agree: a full run and a streaming run of
+  the same input match bit-for-bit on every exact aggregate, and the
+  streaming sketches equal a fresh ``StreamingStats`` fed the full run's
+  records (a property over generated traces, batching policies and
+  platforms).
 """
 
 import json
 import math
 import tracemalloc
-from types import SimpleNamespace
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -32,7 +37,7 @@ from repro.serve import (QuantileSketch, ServeConfig, ServingReport,
                          trace_from_lists)
 from repro.serve.generators import generate_trace
 from repro.serve.library import _serve_model
-from repro.serve.report import StepSample, percentile
+from repro.serve.report import RequestRecord, StepSample, percentile
 from repro.serve.streaming import make_streaming_stats, resolve_report_mode
 
 QS = (50, 90, 95, 99)
@@ -232,25 +237,30 @@ class TestWindowedTimeline:
         assert rows[1]["start"] == 2000.0
 
 
-class _FakeRecord:
-    def __init__(self, ttft, tpot, e2e, output_tokens=4, priority=0):
-        self.ttft, self.tpot, self.e2e = ttft, tpot, e2e
-        self.output_tokens, self.priority = output_tokens, priority
+def _request(ttft, tpot, output_tokens=4, priority=0, request_id=0,
+             arrival=0.0):
+    """``observe_request``'s fields for a request with these latencies.
+
+    The e2e latency follows: ``ttft + tpot * (output_tokens - 1)``."""
+    first_token = arrival + ttft
+    completion = first_token + tpot * (output_tokens - 1)
+    return (request_id, arrival, first_token, completion, 16, output_tokens,
+            priority)
 
 
 class TestStreamingStats:
-    def _stats(self, records, steps=()):
+    def _stats(self, requests, steps=()):
         stats = make_streaming_stats(rel_accuracy=0.01, window_cycles=1000.0)
-        for record in records:
-            stats.observe_request(record)
+        for fields in requests:
+            stats.observe_request(*fields)
         for sample in steps:
-            stats.observe_step(sample)
+            stats.observe_step(*astuple(sample))
         return stats
 
     def test_counters_and_priority_classes(self):
-        records = [_FakeRecord(10.0, 5.0, 50.0, output_tokens=3, priority=p)
-                   for p in (0, 1, 0, 2)]
-        stats = self._stats(records, steps=[_step(0.0, cycles=250.0)])
+        requests = [_request(10.0, 5.0, output_tokens=3, priority=p)
+                    for p in (0, 1, 0, 2)]
+        stats = self._stats(requests, steps=[_step(0.0, cycles=250.0)])
         assert stats.num_requests == 4
         assert stats.total_output_tokens == 12
         assert stats.num_steps == 1
@@ -261,14 +271,14 @@ class TestStreamingStats:
         assert breakdown[0]["ttft"]["count"] == 2.0
 
     def test_single_token_requests_skip_tpot(self):
-        stats = self._stats([_FakeRecord(10.0, 0.0, 10.0, output_tokens=1)])
+        stats = self._stats([_request(10.0, 0.0, output_tokens=1)])
         assert stats.ttft.count == 1
         assert stats.tpot.count == 0
 
     def test_slo_attainment(self):
-        records = [_FakeRecord(float(t), 1.0, float(t), priority=i % 2)
-                   for i, t in enumerate((10, 30_000, 20, 40_000))]
-        stats = self._stats(records)
+        requests = [_request(float(t), 1.0, priority=i % 2)
+                    for i, t in enumerate((10, 30_000, 20, 40_000))]
+        stats = self._stats(requests)
         assert stats.slo_attainment(100.0) == 0.5
         # class 0 holds the two fast requests, class 1 the two slow ones
         by_priority = stats.slo_attainment_by_priority(100.0)
@@ -276,13 +286,14 @@ class TestStreamingStats:
         assert StreamingStats(rel_accuracy=0.01).slo_attainment(100.0) == 0.0
 
     def test_merge_equals_single_pass_and_round_trips(self):
-        records = [_FakeRecord(float(i + 1), float(i % 7 + 1),
-                               float(2 * i + 2), priority=i % 3)
-                   for i in range(100)]
+        # integer latencies: the merged float sums are exact
+        requests = [_request(float(i + 1), float(i % 7 + 1), priority=i % 3,
+                             request_id=i)
+                    for i in range(100)]
         steps = [_step(i * 333.0, cycles=float(i + 1)) for i in range(50)]
-        whole = self._stats(records, steps)
-        left = self._stats(records[:40], steps[:20])
-        right = self._stats(records[40:], steps[20:])
+        whole = self._stats(requests, steps)
+        left = self._stats(requests[:40], steps[:20])
+        right = self._stats(requests[40:], steps[20:])
         left.merge(right)
         assert left.to_dict() == whole.to_dict()
         clone = StreamingStats.from_dict(whole.to_dict())
@@ -298,11 +309,22 @@ LATENCIES = st.one_of(
     st.floats(min_value=0.0, max_value=1e12, allow_nan=False,
               allow_infinity=False))
 
-RECORDS = st.lists(st.builds(
-    SimpleNamespace, ttft=LATENCIES, e2e=LATENCIES, tpot=LATENCIES,
-    # 1 output token: no TPOT is observed
-    output_tokens=st.integers(min_value=1, max_value=3),
-    priority=st.integers(min_value=0, max_value=2)), max_size=40)
+@st.composite
+def request_records(draw):
+    """A completed request whose three timestamps are drawn latencies, in
+    order, so its TTFT, TPOT and e2e cover the edge cases too."""
+    arrival, first_token, completion = sorted(
+        draw(st.lists(LATENCIES, min_size=3, max_size=3)))
+    return RequestRecord(
+        request_id=draw(st.integers(min_value=0, max_value=99)),
+        arrival=arrival, first_token=first_token, completion=completion,
+        prompt_tokens=draw(st.integers(min_value=1, max_value=64)),
+        # 1 output token: no TPOT is observed
+        output_tokens=draw(st.integers(min_value=1, max_value=3)),
+        priority=draw(st.integers(min_value=0, max_value=2)))
+
+
+RECORDS = st.lists(request_records(), max_size=40)
 
 
 def reference_sketch(values, rel_accuracy):
@@ -335,7 +357,7 @@ class TestSharedBucketFold:
                     "tpot": QuantileSketch(rel_accuracy)}
         by_class = {}
         for record in records:
-            stats.observe_request(record)
+            stats.observe_request(*astuple(record))
             trio = by_class.setdefault(record.priority, {
                 key: QuantileSketch(rel_accuracy) for key in separate})
             for key in ("ttft", "e2e") + (("tpot",)
@@ -387,6 +409,36 @@ class TestServeStreamingScenario:
             get_scenario("serve-streaming", modes=("streaming",))
 
 
+@st.composite
+def small_traces(draw):
+    """A few requests with bursty arrivals, mixed priorities and prompts that
+    straddle KV page boundaries (64 rows), so the bounded platform preempts."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    gaps = draw(st.lists(st.sampled_from([0.0, 500.0, 3000.0]),
+                         min_size=n, max_size=n))
+    arrivals = [sum(gaps[:i + 1]) for i in range(n)]
+    prompts = draw(st.lists(st.sampled_from([8, 40, 60, 100, 120]),
+                            min_size=n, max_size=n))
+    outputs = draw(st.lists(st.integers(min_value=1, max_value=40),
+                            min_size=n, max_size=n))
+    priorities = draw(st.lists(st.integers(min_value=0, max_value=2),
+                               min_size=n, max_size=n))
+    return trace_from_lists(arrivals, prompts, outputs, name="small",
+                            priorities=priorities)
+
+
+def assert_sketch_matches(sketch, reference):
+    """``sketch`` holds the values ``reference`` holds, folded in another
+    order: integer state equal, the float sum to rounding."""
+    assert sketch.rel_accuracy == reference.rel_accuracy
+    assert sketch._buckets == reference._buckets
+    assert sketch.zero_count == reference.zero_count
+    assert sketch.count == reference.count
+    assert sketch.min == reference.min
+    assert sketch.max == reference.max
+    assert math.isclose(sketch.sum, reference.sum, rel_tol=1e-12)
+
+
 @pytest.fixture(scope="module")
 def paired_reports():
     """The same heavy-tailed trace served in full and streaming modes."""
@@ -404,6 +456,57 @@ def paired_reports():
 
 
 class TestStreamingServeEquivalence:
+    @settings(max_examples=30, deadline=None)
+    @given(trace=small_traces(),
+           batching=st.sampled_from(["orca-continuous", "chunked-prefill",
+                                     "prefill-decode"]),
+           hardware=st.sampled_from([None, "sda-hbm-small"]))
+    def test_both_sinks_report_the_same_run(self, trace, batching, hardware):
+        window = 5_000.0
+        reports = {}
+        for mode in ("full", "streaming"):
+            config = ServeConfig(model=_serve_model(32), batch_cap=4,
+                                 num_layers=2, report_mode=mode,
+                                 window_cycles=window,
+                                 policy={"batching": batching,
+                                         "prefill_chunk": 32})
+            reports[mode] = simulate_serving(config, trace, Schedule.dynamic(),
+                                             hardware=hardware)
+        full, streaming = reports["full"], reports["streaming"]
+        stats = streaming.streaming
+        assert stats is not None and full.streaming is None
+        assert streaming.num_requests == full.num_requests == len(trace)
+        assert streaming.total_output_tokens == full.total_output_tokens
+        assert streaming.num_steps == full.num_steps
+        assert stats.busy_cycles == sum(s.cycles for s in full.steps)
+        assert streaming.queue_depth() == full.queue_depth()
+        assert streaming.utilization_heatmap() == \
+            full.utilization_heatmap(window)
+        assert streaming.total_cycles == full.total_cycles
+        assert streaming.memory == full.memory
+
+        # completion order is not recoverable from the sorted records, so
+        # only the float sums may differ from a fresh fold of them
+        reference = StreamingStats(rel_accuracy=stats.rel_accuracy)
+        for record in full.requests:
+            reference.observe_request(*astuple(record))
+        for key in ("ttft", "tpot", "e2e"):
+            assert_sketch_matches(getattr(stats, key),
+                                  getattr(reference, key))
+        assert stats.priority_classes() == reference.priority_classes()
+        for cls, trio in reference._classes.items():
+            for key, sketch in trio.items():
+                assert_sketch_matches(stats._classes[cls][key], sketch)
+
+        rel = stats.rel_accuracy
+        for metric in ("ttft", "tpot", "e2e"):
+            exact = getattr(full, metric)()
+            estimate = getattr(streaming, metric)()
+            assert estimate["count"] == exact["count"]
+            for q in QS:
+                assert estimate[f"p{q}"] == pytest.approx(
+                    exact[f"p{q}"], rel=rel), (metric, q)
+
     def test_exact_aggregates_match(self, paired_reports):
         full, streaming = paired_reports
         assert streaming.report_mode == "streaming"

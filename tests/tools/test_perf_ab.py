@@ -30,10 +30,23 @@ def perf_ab():
 DIGESTS = ["0" * 16, "1" * 16, "2" * 16]
 
 
-def result_line(correct=True, attempted=100, failed=0, digests=DIGESTS, **values) -> str:
-    """A perfbench stdout tail: the digest line, then the result object."""
+#: a traced run's count metrics (a few of them)
+COUNTS = {"serve.scheduler.calls": 221053, "serve.streaming.calls": 221037,
+          "serve.scheduler.steps": 141037}
+
+
+def result_line(correct=True, attempted=100, failed=0, digests=DIGESTS, counts=None,
+                **values) -> str:
+    """A perfbench stdout tail: the digest line, then the result object.
+
+    ``counts`` adds a traced run's count metrics, next to a per-layer time."""
     metrics = {m["name"]: {"value": values.get(m["name"], BASE_VALUES[m["name"]]),
                            "unit": m["unit"]} for m in END_TO_END}
+    if counts is not None:
+        metrics.update({name: {"value": value, "unit": "count"}
+                        for name, value in counts.items()})
+        metrics["serve.scheduler.self_s"] = {"value": values.get("self_s", 1.5),
+                                             "unit": "s"}
     digest = json.dumps({"workload": "w", "seed": 1, "digests": digests,
                          "summaries": [{} for _ in digests]})
     result = json.dumps({"correct": correct, "attempted": attempted,
@@ -191,15 +204,22 @@ def test_differing_digests_do_not_fail_the_gate(perf_ab):
 
 
 class FakePerfbench:
-    """Stands in for ``run_perfbench``: records each call, returns a run."""
+    """Stands in for ``run_perfbench``: records each call, returns a run.
 
-    def __init__(self, perf_ab, head_run=None, crash_on=None):
-        self.perf_ab, self.calls = perf_ab, []
+    Untimed traced runs are recorded apart, in ``traced``."""
+
+    def __init__(self, perf_ab, head_run=None, crash_on=None, head_counts=None):
+        self.perf_ab, self.calls, self.traced = perf_ab, [], []
         self.head_run, self.crash_on = head_run or run_output(), crash_on
+        self.head_counts = head_counts or COUNTS
 
-    def __call__(self, root, workload):
-        self.calls.append((root, workload))
+    def __call__(self, root, workload, traced=False):
         side = "head" if root == self.perf_ab.HEAD else "base"
+        if traced:
+            self.traced.append((root, workload))
+            counts = self.head_counts if side == "head" else COUNTS
+            return self.perf_ab.parse_run(result_line(counts=counts), rep_lines(reps=1))
+        self.calls.append((root, workload))
         if side == self.crash_on:
             raise RuntimeError(f"perfbench in {root} exited 1")
         return self.perf_ab.parse_run(*(self.head_run if side == "head"
@@ -221,9 +241,10 @@ def test_main_runs_base_and_head_in_abba_order(perf_ab, monkeypatch, tmp_path, c
     base = str(tmp_path.resolve())
     assert fake.calls == [(base, "paper-figures"), (perf_ab.HEAD, "paper-figures"),
                           (perf_ab.HEAD, "paper-figures"), (base, "paper-figures")]
+    assert fake.traced == [(base, "paper-figures"), (perf_ab.HEAD, "paper-figures")]
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.splitlines()[-1] == "digests: equal"
+    assert out.splitlines()[-2:] == ["calls: equal", "digests: equal"]
 
 
 def test_main_reports_differing_digests_and_still_passes(perf_ab, monkeypatch, tmp_path,
@@ -311,3 +332,54 @@ def test_pooled_median_still_fails_a_slow_side(perf_ab):
     base = [run_output(reps=3), run_output(reps=4)]
     head = [run_output(setup_s=[0.66, 0.7, 0.3]), run_output(setup_s=[0.7, 0.3, 0.64])]
     assert decide(perf_ab, base, head) == ["setup_s"]
+
+
+def test_equal_counts_are_reported_equal(perf_ab):
+    base = perf_ab.parse_result(result_line(counts=COUNTS))
+    # a per-layer time is not a count: it may differ
+    head = perf_ab.parse_result(result_line(counts=COUNTS, self_s=0.9))
+    assert perf_ab.count_metrics(head) == COUNTS
+    assert perf_ab.calls_line(base, head) == "calls: equal"
+
+
+def test_differing_counts_are_each_named(perf_ab):
+    base = perf_ab.parse_result(result_line(counts=COUNTS))
+    head_counts = {**COUNTS, "serve.scheduler.calls": 221060,
+                   "serve.scheduler.steps": 141000}
+    head = perf_ab.parse_result(result_line(counts=head_counts))
+    assert perf_ab.calls_line(base, head) == (
+        "calls: differ (serve.scheduler.calls 221053 -> 221060, "
+        "serve.scheduler.steps 141037 -> 141000)")
+
+
+def test_a_count_on_one_side_only_differs(perf_ab):
+    base = perf_ab.parse_result(result_line(counts=COUNTS))
+    head = perf_ab.parse_result(result_line(counts={**COUNTS, "new.calls": 3}))
+    assert perf_ab.calls_line(base, head) == "calls: differ (new.calls - -> 3)"
+    assert perf_ab.calls_line(head, base) == "calls: differ (new.calls 3 -> -)"
+
+
+def test_main_reports_differing_calls_and_still_passes(perf_ab, monkeypatch, tmp_path,
+                                                       capsys):
+    fake = FakePerfbench(perf_ab, head_counts={**COUNTS, "serve.streaming.calls": 0})
+    monkeypatch.setattr(perf_ab, "run_perfbench", fake)
+    assert perf_ab.main([str(tmp_path), "fleet-surrogate-ladder"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "calls: differ (serve.streaming.calls 221037 -> 0)"
+    assert not any(line.startswith("FAIL") for line in lines)
+
+
+def test_run_perfbench_traced_command(perf_ab, monkeypatch, tmp_path):
+    seen = {}
+
+    def fake_run(command, cwd, stdout, stderr, text):
+        seen.update(command=command)
+        return SimpleNamespace(returncode=0, stdout=result_line(counts=COUNTS),
+                               stderr=rep_lines(reps=1))
+
+    monkeypatch.setattr(perf_ab.subprocess, "run", fake_run)
+    result = perf_ab.run_perfbench(str(tmp_path), "serve-exact-cold", traced=True)
+    assert perf_ab.count_metrics(result) == COUNTS
+    assert seen["command"][1:] == [str(Path("perfbench") / "run.py"), "--workload",
+                                   "serve-exact-cold", "--seed", "1",
+                                   "--seconds", "1", "--trace", "1"]

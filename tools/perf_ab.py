@@ -28,11 +28,16 @@ The gate fails (exit 1) when the head
 
 A perfbench run that crashes fails the gate too.
 
-After the checks the gate prints ``digests: equal`` when every run of both
-sides printed the same digests of the simulated results (perfbench's
-second-to-last stdout line), and ``digests: differ (base ..., head ...)``
-otherwise.  That line is informational: a change may alter results on
-purpose, and the goldens and tests judge whether it should.
+Then each side runs one traced perfbench, ``--seed 1 --seconds 1 --trace
+1``, and after the checks the gate prints ``calls: equal`` when both traced
+runs report the same count metrics (every per-layer ``*.calls`` and the
+other metrics whose unit is ``count``), and ``calls: differ (...)`` with
+each count that differs otherwise.  Last it prints ``digests: equal`` when
+every run of both sides printed the same digests of the simulated results
+(perfbench's second-to-last stdout line), and ``digests: differ (base ...,
+head ...)`` otherwise.  Both lines are informational: a change may alter
+the work done or the results on purpose, and the goldens and tests judge
+whether it should.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ from typing import Dict, List, Sequence, Tuple
 HEAD = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 1
 SECONDS = 30
+#: the length of each side's traced run, the one the calls line compares
+TRACED_SECONDS = 1
 
 
 #: perfbench's stderr line for one repetition: ``name value`` pairs
@@ -131,11 +138,30 @@ def digest_line(base: Sequence[Dict], head: Sequence[Dict]) -> str:
     return f"digests: differ (base {shown[0]}, head {shown[1]})"
 
 
-def run_perfbench(root: str, workload: str) -> Dict:
-    """One perfbench run in checkout ``root``; its output passes through."""
+def count_metrics(result: Dict) -> Dict[str, float]:
+    """The metrics of a result object whose unit is ``count``."""
+    return {name: metric["value"] for name, metric in result["metrics"].items()
+            if metric["unit"] == "count"}
+
+
+def calls_line(base: Dict, head: Dict) -> str:
+    """Whether a traced run of each side counted the same calls."""
+    before, after = count_metrics(base), count_metrics(head)
+    differ = [f"{name} {before.get(name, '-')} -> {after.get(name, '-')}"
+              for name in sorted(before.keys() | after.keys())
+              if before.get(name) != after.get(name)]
+    return f"calls: differ ({', '.join(differ)})" if differ else "calls: equal"
+
+
+def run_perfbench(root: str, workload: str, traced: bool = False) -> Dict:
+    """One perfbench run in checkout ``root``; its output passes through.
+
+    ``traced`` makes it the short ``--trace 1`` run the calls line reads."""
     command = [sys.executable, os.path.join("perfbench", "run.py"),
                "--workload", workload, "--seed", str(SEED),
-               "--seconds", str(SECONDS)]
+               "--seconds", str(TRACED_SECONDS if traced else SECONDS)]
+    if traced:
+        command += ["--trace", "1"]
     done = subprocess.run(command, cwd=root, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True)
     print(done.stdout, end="", flush=True)
@@ -154,17 +180,22 @@ def main(argv: Sequence[str]) -> int:
     with open(os.path.join(HEAD, "BENCHMARK.json")) as handle:
         end_to_end = json.load(handle)["end_to_end"]
     results: Dict[str, List[Dict]] = {"base": [], "head": []}
+    traced: Dict[str, Dict] = {}
     try:
         for side in ("base", "head", "head", "base"):
             print(f"== {workload}: {side}", file=sys.stderr, flush=True)
             root = base_root if side == "base" else HEAD
             results[side].append(run_perfbench(root, workload))
+        for side, root in (("base", base_root), ("head", HEAD)):
+            print(f"== {workload}: {side}, traced", file=sys.stderr, flush=True)
+            traced[side] = run_perfbench(root, workload, traced=True)
     except (RuntimeError, ValueError) as error:
         print(f"FAIL {error}")
         return 1
     checks = compare(results["base"], results["head"], end_to_end)
     for ok, line in checks:
         print(f"{'ok  ' if ok else 'FAIL'} {line}")
+    print(calls_line(traced["base"], traced["head"]))
     print(digest_line(results["base"], results["head"]))
     return 0 if all(ok for ok, _ in checks) else 1
 
